@@ -45,7 +45,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "protocol/channel.hpp"
+#include "net/loopback.hpp"
+#include "protocol/transcript.hpp"
 #include "server/server.hpp"
 #include "sim/drift.hpp"
 #include "substrate/config.hpp"
@@ -57,6 +58,7 @@
 
 namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
+namespace net = authenticache::net;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
 namespace sub = authenticache::substrate;
@@ -180,33 +182,21 @@ runHeartbeatDevice(std::size_t idx, unsigned pool_width,
 
     util::SimClock clock;
     server.bindClock(&clock);
-    proto::InMemoryChannel channel;
+    net::LoopbackTransport loop(server.frontEnd(), {});
     proto::Transcript tap;
-    channel.attachTranscript(&tap);
-    proto::ServerEndpoint sep(channel);
-    srv::DeviceAgent agent(id, client, proto::ClientEndpoint(channel));
+    loop.attachTranscript(&tap);
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    proto::ReplySink &sep = conn.downlink(id);
+    srv::DeviceAgent agent(id, client, conn.uplink(id));
     agent.bindClock(&clock);
     sim::DriftSchedule schedule(kDriftSeed, id, p.drift);
     sub::DriftInjector drift(*chip, schedule);
     util::ThreadPool pool(pool_width);
 
-    // Server frames go through handleBatch so the batch pipeline (and
-    // its any-pool-width determinism contract) is on the gated path.
-    auto pumpBoth = [&] {
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            std::vector<srv::Frame> frames;
-            while (auto f = channel.receiveAtServer())
-                frames.push_back(srv::Frame{std::move(*f), &sep});
-            if (!frames.empty()) {
-                server.handleBatch(frames, pool);
-                progress = true;
-            }
-            while (agent.pumpOnce())
-                progress = true;
-        }
-    };
+    // Server frames go through the loopback transport's batches, so
+    // the batch pipeline (and its any-pool-width determinism
+    // contract) is on the gated path.
+    auto pumpBoth = [&] { net::runExchange(conn, agent, pool); };
 
     server.startHeartbeat(id, sep);
     HeartbeatOutcome out;
@@ -315,11 +305,11 @@ runFixedDevice(std::size_t idx, const SweepParams &p,
 
     util::SimClock clock;
     server.bindClock(&clock);
-    proto::InMemoryChannel channel;
+    net::LoopbackTransport loop(server.frontEnd(), {});
     proto::Transcript tap;
-    channel.attachTranscript(&tap);
-    proto::ServerEndpoint sep(channel);
-    srv::DeviceAgent agent(id, client, proto::ClientEndpoint(channel));
+    loop.attachTranscript(&tap);
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    srv::DeviceAgent agent(id, client, conn.uplink(id));
     agent.bindClock(&clock);
     sim::DriftSchedule schedule(kDriftSeed, id, p.drift);
     sub::DriftInjector drift(*chip, schedule);
@@ -331,7 +321,7 @@ runFixedDevice(std::size_t idx, const SweepParams &p,
         if (s % period == 0 && !out.locked &&
             issuedChallengeBits(tap) < bit_budget) {
             agent.requestAuthentication();
-            srv::runExchange(server, sep, agent);
+            net::runExchange(conn, agent);
             ++out.attempts;
             const auto &decision = agent.lastDecision();
             if (!decision || !decision->accepted) {

@@ -19,6 +19,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 #include "util/stats.hpp"
@@ -65,10 +66,9 @@ main()
     };
     enroll_now(true);
 
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    srv::DeviceAgent agent(1, client,
-                           protocol::ClientEndpoint(channel));
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    srv::DeviceAgent agent(1, client, conn.uplink(1));
 
     const int auths_per_quarter = authbench::scaled(10, 3);
     util::Table table({"year", "quarter", "tempC", "floor_mV",
@@ -103,14 +103,14 @@ main()
             // Quarterly key rotation.
             std::string events =
                 quarter == 0 ? year_events : std::string();
-            server.startRemap(1, server_end);
-            srv::runExchange(server, server_end, agent);
+            server.startRemap(1, conn.downlink(1));
+            net::runExchange(conn, agent);
 
             int accepted = 0;
             util::RunningStats hd;
             for (int a = 0; a < auths_per_quarter; ++a) {
                 agent.requestAuthentication();
-                srv::runExchange(server, server_end, agent);
+                net::runExchange(conn, agent);
                 if (!agent.lastDecision())
                     continue;
                 accepted += agent.lastDecision()->accepted;

@@ -372,8 +372,7 @@ struct Flood
     server::ServerConfig cfg;
     server::AuthenticationServer srv;
     std::vector<std::uint64_t> ids;
-    std::vector<std::unique_ptr<protocol::InMemoryChannel>> chans;
-    std::vector<std::unique_ptr<protocol::ServerEndpoint>> ends;
+    std::vector<std::unique_ptr<protocol::EncodingSink>> ends;
     std::optional<server::DurabilityManager> dur;
 
     explicit Flood(std::size_t n_devices,
@@ -396,11 +395,7 @@ struct Flood
                 id, mc::randomErrorMap(geom, kLevel, 60, mr),
                 {kLevel}, {}));
             ids.push_back(id);
-            chans.push_back(
-                std::make_unique<protocol::InMemoryChannel>());
-            ends.push_back(
-                std::make_unique<protocol::ServerEndpoint>(
-                    *chans.back()));
+            ends.push_back(std::make_unique<protocol::EncodingSink>());
         }
         if (!durable_dir.empty()) {
             dur.emplace(
@@ -457,10 +452,10 @@ runServer(std::size_t n_devices, std::size_t rounds, unsigned threads,
 
         batch.clear();
         for (std::size_t i = 0; i < n_devices; ++i) {
-            auto frame = flood.chans[i]->receiveAtClient();
-            if (!frame)
+            const auto &replies = flood.ends[i]->frames;
+            if (replies.empty())
                 continue;
-            auto msg = protocol::decodeMessage(*frame);
+            auto msg = protocol::decodeMessage(replies.front());
             auto *ch = std::get_if<protocol::ChallengeMsg>(&msg);
             if (!ch)
                 continue;
@@ -475,9 +470,8 @@ runServer(std::size_t n_devices, std::size_t rounds, unsigned threads,
         flood.srv.handleBatch(batch, pool);
         batch_ns.push_back(nsSince(t0));
         frames += batch.size();
-        for (auto &chan : flood.chans)
-            while (chan->receiveAtClient())
-                ;
+        for (auto &end : flood.ends)
+            end->frames.clear();
     }
 
     ServerRun out;

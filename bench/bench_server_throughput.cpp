@@ -49,7 +49,7 @@ constexpr std::uint64_t kServerSeed = 0x7B40;
 constexpr std::size_t kMapErrors = 60;
 
 /**
- * A flood fixture: server, devices, one endpoint per device. When
+ * A flood fixture: server, devices, one reply sink per device. When
  * @p durable_dir is non-empty the durability layer is attached after
  * enrollment (the opening rotation snapshots the enrolled database),
  * so the timed region pays WAL appends plus one sync per batch.
@@ -59,8 +59,7 @@ struct Flood
     server::ServerConfig cfg;
     server::AuthenticationServer srv;
     std::vector<std::uint64_t> ids;
-    std::vector<std::unique_ptr<protocol::InMemoryChannel>> chans;
-    std::vector<std::unique_ptr<protocol::ServerEndpoint>> ends;
+    std::vector<std::unique_ptr<protocol::EncodingSink>> ends;
     std::optional<server::DurabilityManager> dur;
 
     explicit Flood(std::size_t n_devices,
@@ -83,10 +82,7 @@ struct Flood
                 id, mc::randomErrorMap(geom, kLevel, kMapErrors, mr),
                 {kLevel}, {}));
             ids.push_back(id);
-            chans.push_back(
-                std::make_unique<protocol::InMemoryChannel>());
-            ends.push_back(std::make_unique<protocol::ServerEndpoint>(
-                *chans.back()));
+            ends.push_back(std::make_unique<protocol::EncodingSink>());
         }
         if (!durable_dir.empty()) {
             dur.emplace(server::DurabilityConfig{durable_dir, 4096},
@@ -147,10 +143,10 @@ run(std::size_t n_devices, std::size_t rounds, unsigned threads,
 
         batch.clear();
         for (std::size_t i = 0; i < n_devices; ++i) {
-            auto frame = flood.chans[i]->receiveAtClient();
-            if (!frame)
+            const auto &replies = flood.ends[i]->frames;
+            if (replies.empty())
                 continue;
-            auto msg = protocol::decodeMessage(*frame);
+            auto msg = protocol::decodeMessage(replies.front());
             auto *ch = std::get_if<protocol::ChallengeMsg>(&msg);
             if (!ch)
                 continue;
@@ -167,9 +163,8 @@ run(std::size_t n_devices, std::size_t rounds, unsigned threads,
         }
         m.frames += batch.size();
         // Drain decisions so queues stay flat across rounds.
-        for (auto &chan : flood.chans)
-            while (chan->receiveAtClient())
-                ;
+        for (auto &end : flood.ends)
+            end->frames.clear();
     }
 
     for (auto id : flood.ids)

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "metrics/quality.hpp"
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 #include "util/stats.hpp"
@@ -70,13 +71,13 @@ main()
     // Authenticate every device through the protocol.
     std::cout << "\n";
     util::Table table({"device", "decision", "hamming_distance"});
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    net::LoopbackTransport::Client &conn = *loop.connect();
     for (auto &dev : fleet) {
         server::DeviceAgent agent(dev.id, *dev.client,
-                                  protocol::ClientEndpoint(channel));
+                                  conn.uplink(dev.id));
         agent.requestAuthentication();
-        server::runExchange(server, server_end, agent);
+        net::runExchange(conn, agent);
         const auto &d = agent.lastDecision();
         table.row()
             .cell(dev.id)
@@ -113,12 +114,12 @@ main()
     auto &victim = fleet[0];
     auto &thief = fleet[1];
     server::DeviceAgent imposter(victim.id, *thief.client,
-                                 protocol::ClientEndpoint(channel));
+                                 conn.uplink(victim.id));
     // The thief even knows the victim's logical-map key.
     thief.client->setMapKey(
         server.database().at(victim.id).mapKey());
     imposter.requestAuthentication();
-    server::runExchange(server, server_end, imposter);
+    net::runExchange(conn, imposter);
     if (imposter.lastDecision()) {
         std::cout << "\nimposter presenting device " << victim.id
                   << ": "

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "crypto/fuzzy_extractor.hpp"
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
@@ -47,14 +48,13 @@ main()
               << " secret bits (repetition "
               << server_cfg.fuzzyRepetition << ")\n\n";
 
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(1, device,
-                              protocol::ClientEndpoint(channel));
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    server::DeviceAgent agent(1, device, conn.uplink(1));
 
     auto authenticate = [&]() {
         agent.requestAuthentication();
-        server::runExchange(server, server_end, agent);
+        net::runExchange(conn, agent);
         return agent.lastDecision() &&
                agent.lastDecision()->accepted;
     };
@@ -62,8 +62,8 @@ main()
     // Rotate the key several times; authentication must survive each.
     for (int rotation = 1; rotation <= 3; ++rotation) {
         crypto::Key256 before = device.mapKey();
-        server.startRemap(1, server_end);
-        server::runExchange(server, server_end, agent);
+        server.startRemap(1, conn.downlink(1));
+        net::runExchange(conn, agent);
         bool key_changed = !(device.mapKey() == before);
         bool in_sync =
             device.mapKey() == server.database().at(1).mapKey();
@@ -106,8 +106,8 @@ main()
               << " (expected REJECTED)\n";
 
     // Recovery: a legitimate remap restores synchronization.
-    server.startRemap(1, server_end);
-    server::runExchange(server, server_end, agent);
+    server.startRemap(1, conn.downlink(1));
+    net::runExchange(conn, agent);
     std::cout << "after legitimate remap: next auth "
               << (authenticate() ? "ACCEPTED" : "REJECTED")
               << " (expected ACCEPTED)\n";

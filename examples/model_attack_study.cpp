@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "attack/model_attack.hpp"
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 #include "util/table.hpp"
@@ -35,20 +36,19 @@ main()
     auto reserved = server::defaultReservedLevel(device);
     server.enroll(1, device, levels, {reserved});
 
-    // The attacker wiretaps the channel.
-    protocol::InMemoryChannel channel;
+    // The attacker wiretaps the link.
     protocol::Transcript wiretap;
-    channel.attachTranscript(&wiretap);
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(1, device,
-                              protocol::ClientEndpoint(channel));
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    loop.attachTranscript(&wiretap);
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    server::DeviceAgent agent(1, device, conn.uplink(1));
 
     // Honest parties run a batch of authentications.
     const int sessions = 24;
     int accepted = 0;
     for (int s = 0; s < sessions; ++s) {
         agent.requestAuthentication();
-        server::runExchange(server, server_end, agent);
+        net::runExchange(conn, agent);
         if (agent.lastDecision() && agent.lastDecision()->accepted)
             ++accepted;
     }
@@ -76,7 +76,7 @@ main()
         std::size_t before = wiretap.observedCrps().size();
         for (int s = 0; s < 6; ++s) {
             agent.requestAuthentication();
-            server::runExchange(server, server_end, agent);
+            net::runExchange(conn, agent);
         }
         auto all = wiretap.observedCrps();
         for (std::size_t idx = before; idx < all.size(); ++idx) {
@@ -98,8 +98,8 @@ main()
 
     // Countermeasure: the server rotates the logical map. The
     // attacker's learned field describes the *old* coordinate space.
-    server.startRemap(1, server_end);
-    server::runExchange(server, server_end, agent);
+    server.startRemap(1, conn.downlink(1));
+    net::runExchange(conn, agent);
     std::cout << "\nserver initiated remap; committed: "
               << server.remapsCommitted() << "\n";
 

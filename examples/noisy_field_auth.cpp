@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "metrics/identifiability.hpp"
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 #include "util/stats.hpp"
@@ -49,10 +50,9 @@ main()
     std::cout << "EER identification threshold: " << threshold
               << " of " << server_cfg.challengeBits << " bits\n\n";
 
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(1, device,
-                              protocol::ClientEndpoint(channel));
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    server::DeviceAgent agent(1, device, conn.uplink(1));
 
     // Sweep the environment: each row is a deployment scenario; run a
     // few authentications per scenario and report distances.
@@ -80,7 +80,7 @@ main()
         int completed = 0;
         for (int round = 0; round < rounds; ++round) {
             agent.requestAuthentication();
-            server::runExchange(server, server_end, agent);
+            net::runExchange(conn, agent);
             if (!agent.lastDecision())
                 continue; // Aborted (e.g. emergency raise).
             ++completed;

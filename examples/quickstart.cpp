@@ -2,7 +2,7 @@
  * @file
  * Quickstart: manufacture a device, enroll it with an authentication
  * server, and run one challenge-response authentication over the
- * protocol channel.
+ * loopback wire transport.
  *
  * This is the complete Authenticache loop of the paper's Figure 6:
  *
@@ -11,6 +11,7 @@
 
 #include <iostream>
 
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
@@ -49,13 +50,12 @@ main()
               << " voltage levels\n";
 
     // 4. Field authentication over the wire protocol.
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(1, device,
-                              protocol::ClientEndpoint(channel));
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    server::DeviceAgent agent(1, device, conn.uplink(1));
 
     agent.requestAuthentication();
-    server::runExchange(server, server_end, agent);
+    net::runExchange(conn, agent);
 
     if (!agent.lastDecision()) {
         std::cout << "no decision reached\n";

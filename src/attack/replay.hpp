@@ -2,7 +2,10 @@
  * @file
  * Replay attacker (paper Sec 4.4 threat model): records frames off the
  * wire and re-injects them later, attempting to reuse an old response
- * to win an authentication.
+ * to win an authentication. The caller re-sends a captured frame on
+ * any client connection and inspects the outcome: against
+ * Authenticache the response's nonce is spent, so the server rejects
+ * it.
  */
 
 #ifndef AUTH_ATTACK_REPLAY_HPP
@@ -11,7 +14,7 @@
 #include <optional>
 #include <vector>
 
-#include "protocol/channel.hpp"
+#include "protocol/transcript.hpp"
 
 namespace authenticache::attack {
 
@@ -28,14 +31,6 @@ class ReplayAttacker
 
     /** Most recent client auth request frame, if any. */
     std::optional<std::vector<std::uint8_t>> lastRequestFrame() const;
-
-    /**
-     * Replay a captured frame toward the server. The caller then pumps
-     * the server and inspects the outcome: against Authenticache the
-     * response's nonce is spent, so the server rejects it.
-     */
-    void replayToServer(protocol::InMemoryChannel &channel,
-                        const std::vector<std::uint8_t> &frame) const;
 
   private:
     const protocol::Transcript &transcript;

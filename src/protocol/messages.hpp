@@ -200,6 +200,37 @@ std::vector<std::uint8_t> encodeMessage(const Message &m);
  */
 Message decodeMessage(std::span<const std::uint8_t> frame);
 
+/**
+ * Where a message goes: the outbound half of one stream. The batch
+ * front end addresses each frame's replies through it (a wire stream's
+ * sink in net::TransportCore, or any in-process collector), and a
+ * DeviceAgent sends its requests through one, so neither side knows
+ * what carries the bytes.
+ */
+class ReplySink
+{
+  public:
+    virtual ~ReplySink() = default;
+
+    /** Deliver one protocol message to the peer. */
+    virtual void send(const Message &m) = 0;
+};
+
+/**
+ * In-process sink that encodes each message as a transport stream
+ * does and keeps the frames, in order, until the owner reads or
+ * clears them.
+ */
+struct EncodingSink : ReplySink
+{
+    void send(const Message &m) override
+    {
+        frames.push_back(encodeMessage(m));
+    }
+
+    std::vector<std::vector<std::uint8_t>> frames;
+};
+
 /** Serialization helpers shared with storage code. */
 void encodeChallenge(ByteWriter &w, const core::Challenge &c);
 core::Challenge decodeChallenge(ByteReader &r);

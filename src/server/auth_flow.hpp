@@ -2,7 +2,7 @@
  * @file
  * Per-message state machines for the authentication exchange
  * (AuthRequest -> Challenge, Response -> Decision), extracted from the
- * old monolithic handleMessage. A flow never touches a channel: it is
+ * old monolithic message handler. A flow never touches a transport: it is
  * handed a locked session shard plus the decoded message and returns a
  * FlowOutput -- the replies to emit, an optional completed-auth
  * report, and the nonce of any newly opened session (which the front

@@ -112,7 +112,7 @@ struct ServerConfig
      * grow server state without bound; when full, the globally oldest
      * outstanding session is evicted (its nonce is dead, the consumed
      * pairs stay retired). The cap is enforced at batch boundaries:
-     * after every handleMessage and after every handleBatch.
+     * after every handleBatch.
      */
     std::size_t maxPendingSessions = 1024;
 

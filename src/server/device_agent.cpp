@@ -30,8 +30,8 @@ RetryPolicy::deadlineFor(std::uint64_t now,
 
 DeviceAgent::DeviceAgent(std::uint64_t device_id,
                          firmware::AuthenticacheClient &client_,
-                         protocol::ClientEndpoint endpoint_)
-    : deviceId(device_id), client(client_), endpoint(endpoint_)
+                         protocol::ReplySink &uplink)
+    : deviceId(device_id), client(client_), endpoint(uplink)
 {
 }
 
@@ -110,7 +110,7 @@ void
 DeviceAgent::answerHeartbeat(const protocol::Heartbeat &hb)
 {
     // Duplicated round (a lost TrustUpdate made the server re-issue,
-    // or the channel duplicated the frame): replay the cached proof.
+    // or the transport duplicated the frame): replay the cached proof.
     // Re-measuring would burn line tests and could flip noisy bits.
     auto seen = answeredHeartbeats.find(hb.nonce);
     if (seen != answeredHeartbeats.end()) {
@@ -145,29 +145,27 @@ DeviceAgent::answerHeartbeat(const protocol::Heartbeat &hb)
     awaitVerdict[hb.nonce] = std::move(waiting);
 }
 
-bool
-DeviceAgent::pumpOnce()
+void
+DeviceAgent::receive(std::span<const std::uint8_t> frame)
 {
-    std::optional<protocol::Message> msg;
+    protocol::Message msg;
     try {
-        msg = endpoint.receive();
+        msg = protocol::decodeMessage(frame);
     } catch (const protocol::DecodeError &e) {
         errorLog.push_back(std::string("decode: ") + e.what());
-        return true;
+        return;
     }
-    if (!msg)
-        return false;
 
-    if (auto *ch = std::get_if<protocol::ChallengeMsg>(&*msg)) {
+    if (auto *ch = std::get_if<protocol::ChallengeMsg>(&msg)) {
         answerChallenge(*ch);
     } else if (auto *remap =
-                   std::get_if<protocol::RemapRequest>(&*msg)) {
+                   std::get_if<protocol::RemapRequest>(&msg)) {
         // Duplicated request for an exchange already in phase 1:
         // resend the cached ack rather than re-deriving.
         auto seen = awaitCommit.find(remap->nonce);
         if (seen != awaitCommit.end()) {
             endpoint.send(seen->second.frame);
-            return true;
+            return;
         }
         // Phase 1: derive the candidate key and prove it with the
         // confirmation MAC; install nothing yet.
@@ -194,7 +192,7 @@ DeviceAgent::pumpOnce()
             waiting.deadline = policy.deadlineFor(simClock->now(), 0);
         awaitCommit[remap->nonce] = std::move(waiting);
     } else if (auto *commit =
-                   std::get_if<protocol::RemapCommit>(&*msg)) {
+                   std::get_if<protocol::RemapCommit>(&msg)) {
         // Phase 2: the server verified the confirmation.
         awaitCommit.erase(commit->nonce);
         auto it = pendingRemapKeys.find(commit->nonce);
@@ -205,19 +203,19 @@ DeviceAgent::pumpOnce()
             }
             pendingRemapKeys.erase(it);
         }
-    } else if (auto *dec = std::get_if<protocol::AuthDecision>(&*msg)) {
+    } else if (auto *dec = std::get_if<protocol::AuthDecision>(&msg)) {
         decision = *dec;
         authPhase = AuthPhase::Idle;
         authStatus = firmware::AuthOutcome::Status::Ok;
-    } else if (auto *hb = std::get_if<protocol::Heartbeat>(&*msg)) {
+    } else if (auto *hb = std::get_if<protocol::Heartbeat>(&msg)) {
         answerHeartbeat(*hb);
     } else if (auto *verdict =
-                   std::get_if<protocol::TrustUpdate>(&*msg)) {
+                   std::get_if<protocol::TrustUpdate>(&msg)) {
         awaitVerdict.erase(verdict->nonce);
         trustScore = verdict->trust;
         trustTier = verdict->tier;
         lastVerdictMsg = *verdict;
-    } else if (auto *rev = std::get_if<protocol::Revoke>(&*msg)) {
+    } else if (auto *rev = std::get_if<protocol::Revoke>(&msg)) {
         if (rev->deviceId == deviceId) {
             isRevoked = true;
             awaitVerdict.clear();
@@ -225,19 +223,11 @@ DeviceAgent::pumpOnce()
             heartbeatOrder.clear();
             errorLog.push_back("revoked: " + rev->reason);
         }
-    } else if (auto *err = std::get_if<protocol::ErrorMsg>(&*msg)) {
+    } else if (auto *err = std::get_if<protocol::ErrorMsg>(&msg)) {
         // Transport-level errors (decode failures, dead nonces) are
         // logged but do not end the session: the retry state machine
         // either recovers it or times it out cleanly.
         errorLog.push_back(err->reason);
-    }
-    return true;
-}
-
-void
-DeviceAgent::pumpAll()
-{
-    while (pumpOnce()) {
     }
 }
 

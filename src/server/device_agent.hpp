@@ -12,13 +12,14 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "crypto/key.hpp"
 #include "firmware/client.hpp"
-#include "protocol/channel.hpp"
+#include "protocol/messages.hpp"
 #include "util/sim_clock.hpp"
 
 namespace authenticache::server {
@@ -58,27 +59,29 @@ struct RetryPolicy
 
 /**
  * Device-side protocol agent: bridges the wire protocol to the
- * firmware client, and (when a clock is bound) runs the retry state
- * machine: per-request timeout, bounded exponential backoff with
- * deterministic jitter, and a clean TimedOut outcome once the
- * retransmission budget is exhausted -- a lost frame can no longer
- * wedge an exchange.
+ * firmware client. It sends through a ReplySink (its uplink) and is
+ * handed each inbound frame through receive(), so it never knows what
+ * transport carries the bytes. When a clock is bound it runs the
+ * retry state machine: per-request timeout, bounded exponential
+ * backoff with deterministic jitter, and a clean TimedOut outcome
+ * once the retransmission budget is exhausted -- a lost frame can no
+ * longer wedge an exchange.
  */
 class DeviceAgent
 {
   public:
     DeviceAgent(std::uint64_t device_id,
                 firmware::AuthenticacheClient &client,
-                protocol::ClientEndpoint endpoint);
+                protocol::ReplySink &uplink);
 
     /** Kick off an authentication round. */
     void requestAuthentication();
 
-    /** Handle one queued message, if any. @return message handled. */
-    bool pumpOnce();
-
-    /** Drain the endpoint until idle. */
-    void pumpAll();
+    /**
+     * Handle one inbound frame (an encoded protocol message). A frame
+     * that fails to decode is logged to errors() as "decode: ...".
+     */
+    void receive(std::span<const std::uint8_t> frame);
 
     /** Bind the simulated clock enabling timeouts (not owned). */
     void bindClock(const util::SimClock *clk) { simClock = clk; }
@@ -179,7 +182,7 @@ class DeviceAgent
 
     std::uint64_t deviceId;
     firmware::AuthenticacheClient &client;
-    protocol::ClientEndpoint endpoint;
+    protocol::ReplySink &endpoint;
     const util::SimClock *simClock = nullptr;
     RetryPolicy policy;
     std::optional<protocol::AuthDecision> decision;

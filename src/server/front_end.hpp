@@ -18,9 +18,9 @@
  *
  * Every source of randomness is a per-device Rng stream and every
  * cross-frame effect happens in the sequential stages, so outcomes
- * are bit-identical at any thread count. The single-frame pumpOnce
- * path is a one-frame batch, preserving the old per-message GC and
- * cap timing exactly.
+ * are bit-identical at any thread count. handleBatch is the only
+ * entry point for received frames; a single message is a one-frame
+ * batch.
  *
  * Frame dispatch is exception-hardened: a malformed or out-of-phase
  * frame yields a protocol-level ErrorMsg reply, never an escaping
@@ -34,7 +34,7 @@
 #include <span>
 #include <vector>
 
-#include "protocol/channel.hpp"
+#include "protocol/messages.hpp"
 #include "server/auth_flow.hpp"
 #include "server/heartbeat_flow.hpp"
 #include "server/remap_flow.hpp"
@@ -45,9 +45,9 @@ namespace authenticache::server {
 class DurabilityManager;
 
 /**
- * One received frame plus the sink its replies go to: an in-memory
- * ServerEndpoint in simulation, or a wire-transport stream sink when
- * the frame arrived over a socket (src/net).
+ * One received frame plus the sink its replies go to: a wire-transport
+ * stream sink (src/net, loopback or socket) or any in-process
+ * collector.
  */
 struct Frame
 {
@@ -92,19 +92,9 @@ class ServerFrontEnd
      */
     void handleBatch(std::span<Frame> frames, util::ThreadPool &pool);
 
-    /** One-frame-batch convenience for an already-decoded message. */
-    void handleMessage(const protocol::Message &msg,
-                       protocol::ServerEndpoint &endpoint);
-
-    /** Handle one queued message, if any. @return message handled. */
-    bool pumpOnce(protocol::ServerEndpoint &endpoint);
-
-    /** Drain the endpoint until idle. */
-    void pumpAll(protocol::ServerEndpoint &endpoint);
-
     /** Initiate the adaptive remap exchange for a device. */
     void startRemap(std::uint64_t device_id,
-                    protocol::ServerEndpoint &endpoint);
+                    protocol::ReplySink &endpoint);
 
     /** Open a continuous-authentication heartbeat session. */
     void startHeartbeat(std::uint64_t device_id,

@@ -14,7 +14,7 @@
  *           -> Revoked (trust exhausted; admin unlock required)
  *
  * Like AuthFlow/RemapFlow, the flow operates on a locked session
- * shard and returns a FlowOutput -- it never touches a channel. Every
+ * shard and returns a FlowOutput -- it never touches a transport. Every
  * trust mutation journals an absolute journal::TrustUpdate before the
  * reply that discloses it leaves the server, so recovered trust state
  * replays byte-identically through the PR 4 crash sweep.

@@ -3,7 +3,7 @@
  * State machine for the server-initiated adaptive remap exchange
  * (RemapRequest -> RemapAck -> RemapCommit, paper Sec 4.4-4.5).
  * Mirrors AuthFlow: operates on a locked session shard, returns a
- * FlowOutput instead of touching a channel. Precondition failures
+ * FlowOutput instead of touching a transport. Precondition failures
  * (device without reserved levels, exhausted pair supply) surface as
  * protocol-level ErrorMsg rejects, never as exceptions.
  */

@@ -76,14 +76,30 @@ Histogram::cdf(double x) const
     return static_cast<double>(acc) / static_cast<double>(n);
 }
 
+namespace {
+
+/**
+ * log(Gamma(x)) without touching the global signgam that std::lgamma
+ * writes: verifiers on different pool threads compute thresholds
+ * concurrently.
+ */
+double
+logGamma(double x)
+{
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
+}
+
+} // namespace
+
 double
 logBinomialCoefficient(std::uint64_t n, std::uint64_t k)
 {
     if (k > n)
         return -std::numeric_limits<double>::infinity();
-    return std::lgamma(static_cast<double>(n) + 1.0) -
-           std::lgamma(static_cast<double>(k) + 1.0) -
-           std::lgamma(static_cast<double>(n - k) + 1.0);
+    return logGamma(static_cast<double>(n) + 1.0) -
+           logGamma(static_cast<double>(k) + 1.0) -
+           logGamma(static_cast<double>(n - k) + 1.0);
 }
 
 double

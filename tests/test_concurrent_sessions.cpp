@@ -1,8 +1,8 @@
 /**
  * @file
  * Integration: multiple devices interleaving authentications through
- * one server, each over its own channel (one connection per client,
- * as a real deployment would have) -- the server's nonce-based
+ * one server, each over its own loopback connection (one connection
+ * per client, as a real deployment would have) -- the server's nonce-based
  * session state must keep the exchanges independent, and interleaved
  * remaps must not cross wires.
  */
@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
 namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
+namespace net = authenticache::net;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
 
@@ -26,9 +28,18 @@ struct Device
     std::unique_ptr<sim::SimulatedChip> chip;
     std::unique_ptr<fw::SimulatedMachine> machine;
     std::unique_ptr<fw::AuthenticacheClient> client;
-    proto::InMemoryChannel channel;
-    std::unique_ptr<proto::ServerEndpoint> serverEnd;
+    net::LoopbackTransport::Client *conn = nullptr;
     std::unique_ptr<srv::DeviceAgent> agent;
+
+    /** Hand every frame that reached this device to its agent. */
+    bool
+    receiveAll()
+    {
+        auto frames = conn->readFrames();
+        for (const auto &frame : frames)
+            agent->receive(frame.payload);
+        return !frames.empty();
+    }
 };
 
 } // namespace
@@ -43,6 +54,8 @@ class ConcurrentSessions : public ::testing::Test
         scfg.challengeBits = 64;
         scfg.verifier.pIntra = 0.08;
         server = std::make_unique<srv::AuthenticationServer>(scfg, 4);
+        loop = std::make_unique<net::LoopbackTransport>(
+            server->frontEnd(), net::TransportConfig{});
 
         for (std::uint64_t i = 0; i < 3; ++i) {
             sim::ChipConfig cfg;
@@ -61,29 +74,27 @@ class ConcurrentSessions : public ::testing::Test
             server->enroll(
                 i + 1, *dev.client, levels,
                 {srv::defaultReservedLevel(*dev.client)});
-            dev.serverEnd = std::make_unique<proto::ServerEndpoint>(
-                dev.channel);
+            dev.conn = loop->connect();
             dev.agent = std::make_unique<srv::DeviceAgent>(
-                i + 1, *dev.client,
-                proto::ClientEndpoint(dev.channel));
+                i + 1, *dev.client, dev.conn->uplink(i + 1));
         }
     }
 
-    /** Pump every connection once, server side then device side. */
+    /** Pump the server and every device until all are idle. */
     void
     pumpEverything()
     {
         bool progress = true;
         while (progress) {
-            progress = false;
-            for (auto &dev : devices) {
-                progress |= server->pumpOnce(*dev.serverEnd);
-                progress |= dev.agent->pumpOnce();
-            }
+            progress = loop->pump(pool) > 0;
+            for (auto &dev : devices)
+                progress |= dev.receiveAll();
         }
     }
 
     std::unique_ptr<srv::AuthenticationServer> server;
+    std::unique_ptr<net::LoopbackTransport> loop;
+    authenticache::util::ThreadPool pool{2};
     Device devices[3];
 };
 
@@ -95,11 +106,10 @@ TEST_F(ConcurrentSessions, InterleavedAuthenticationsStayIndependent)
 
     // Server issues all three challenges first, then the devices
     // answer in a scrambled order.
-    for (auto &dev : devices)
-        server->pumpOnce(*dev.serverEnd);
-    devices[2].agent->pumpOnce(); // Answers its challenge.
-    devices[0].agent->pumpOnce();
-    devices[1].agent->pumpOnce();
+    loop->pump(pool);
+    devices[2].receiveAll(); // Answers its challenge.
+    devices[0].receiveAll();
+    devices[1].receiveAll();
     pumpEverything();
 
     for (auto &dev : devices) {
@@ -112,7 +122,7 @@ TEST_F(ConcurrentSessions, InterleavedAuthenticationsStayIndependent)
 TEST_F(ConcurrentSessions, RemapAndAuthInterleave)
 {
     // Device 1 remaps while devices 2 and 3 authenticate.
-    server->startRemap(1, *devices[0].serverEnd);
+    server->startRemap(1, devices[0].conn->downlink(1));
     devices[1].agent->requestAuthentication();
     devices[2].agent->requestAuthentication();
     pumpEverything();
@@ -125,8 +135,7 @@ TEST_F(ConcurrentSessions, RemapAndAuthInterleave)
 
     // Device 1's rotated key still authenticates.
     devices[0].agent->requestAuthentication();
-    srv::runExchange(*server, *devices[0].serverEnd,
-                     *devices[0].agent);
+    net::runExchange(*devices[0].conn, *devices[0].agent, pool);
     ASSERT_TRUE(devices[0].agent->lastDecision().has_value());
     EXPECT_TRUE(devices[0].agent->lastDecision()->accepted);
 }
@@ -137,11 +146,11 @@ TEST_F(ConcurrentSessions, CrossDeviceResponseRejected)
     // challenge with its own silicon: nonce matches but the response
     // comes from the wrong fingerprint.
     devices[0].agent->requestAuthentication();
-    server->pumpAll(*devices[0].serverEnd);
+    loop->pump(pool);
 
-    auto msg = proto::ClientEndpoint(devices[0].channel).receive();
-    ASSERT_TRUE(msg.has_value());
-    auto *ch = std::get_if<proto::ChallengeMsg>(&*msg);
+    auto msgs = devices[0].conn->readMessages();
+    ASSERT_EQ(msgs.size(), 1u);
+    auto *ch = std::get_if<proto::ChallengeMsg>(&msgs[0].second);
     ASSERT_NE(ch, nullptr);
 
     // Device 2 evaluates device 1's challenge (its floor may differ;
@@ -151,9 +160,8 @@ TEST_F(ConcurrentSessions, CrossDeviceResponseRejected)
         proto::ResponseMsg resp;
         resp.nonce = ch->nonce;
         resp.response = std::move(outcome.response);
-        proto::ClientEndpoint(devices[0].channel).send(resp);
-        server->pumpAll(*devices[0].serverEnd);
-        devices[0].agent->pumpAll();
+        devices[0].conn->sendMessage(1, resp);
+        net::runExchange(*devices[0].conn, *devices[0].agent, pool);
         ASSERT_TRUE(devices[0].agent->lastDecision().has_value());
         EXPECT_FALSE(devices[0].agent->lastDecision()->accepted);
     }

@@ -40,10 +40,13 @@
 #include "core/remap.hpp"
 #include "crypto/fuzzy_extractor.hpp"
 #include "mc/mapgen.hpp"
+#include "net/loopback.hpp"
 #include "server/durability.hpp"
 #include "server/server.hpp"
 #include "server/storage.hpp"
+#include "test_tmpdir.hpp"
 
+namespace net = authenticache::net;
 namespace srv = authenticache::server;
 namespace jnl = authenticache::server::journal;
 namespace core = authenticache::core;
@@ -78,24 +81,7 @@ sweepStride(std::uint64_t quick_stride)
     return envFlag("AUTHENTICACHE_QUICK") ? quick_stride : 1;
 }
 
-struct TempDir
-{
-    explicit TempDir(const std::string &name)
-        : path(fs::temp_directory_path() / name)
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-    void
-    wipe()
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    std::string str() const { return path.string(); }
-    fs::path path;
-};
+using authenticache::testutil::TempDir;
 
 core::ErrorMap
 deviceMap(std::uint64_t id)
@@ -192,20 +178,25 @@ runWorkload(const std::string &dir, std::uint64_t rotate_every,
                                    recovered.lastSeq, inj);
         server.attachDurability(&mgr);
 
-        proto::InMemoryChannel chan;
-        proto::ServerEndpoint sep(chan);
+        net::LoopbackTransport loop(server.frontEnd(), {});
+        net::LoopbackTransport::Client &conn = *loop.connect();
+        proto::ReplySink &sep = conn.downlink(1);
+        util::ThreadPool pool(1);
 
+        // One frame per batch: each request journals and syncs alone.
+        auto serve = [&](const proto::Message &m) {
+            conn.sendMessage(1, m);
+            loop.pump(pool);
+        };
         auto drainToClient = [&]() {
             std::vector<proto::Message> msgs;
-            while (auto frame = chan.receiveAtClient())
-                msgs.push_back(proto::decodeMessage(*frame));
+            for (auto &[stream, m] : conn.readMessages())
+                msgs.push_back(std::move(m));
             return msgs;
         };
 
         auto auth = [&](std::uint64_t id, bool honest) {
-            chan.sendToServer(
-                proto::encodeMessage(proto::AuthRequest{id}));
-            server.pumpAll(sep);
+            serve(proto::AuthRequest{id});
             std::optional<proto::ChallengeMsg> ch;
             for (const auto &m : drainToClient())
                 if (const auto *c =
@@ -218,9 +209,7 @@ runWorkload(const std::string &dir, std::uint64_t rotate_every,
             if (!honest)
                 for (std::size_t b = 0; b < resp.size(); ++b)
                     resp.flip(b);
-            chan.sendToServer(proto::encodeMessage(
-                proto::ResponseMsg{ch->nonce, resp}));
-            server.pumpAll(sep);
+            serve(proto::ResponseMsg{ch->nonce, resp});
             drainToClient();
         };
 
@@ -232,9 +221,7 @@ runWorkload(const std::string &dir, std::uint64_t rotate_every,
                         std::get_if<proto::RemapRequest>(&m))
                     rr = *r;
             ASSERT_TRUE(rr.has_value());
-            chan.sendToServer(proto::encodeMessage(
-                craftAck(server.database().at(id), *rr)));
-            server.pumpAll(sep);
+            serve(craftAck(server.database().at(id), *rr));
             drainToClient();
         };
 
@@ -248,8 +235,7 @@ runWorkload(const std::string &dir, std::uint64_t rotate_every,
             ASSERT_TRUE(rr.has_value());
             auto ack = craftAck(server.database().at(id), *rr);
             ack.confirmation[0] ^= 0xFF; // Key confirmation fails.
-            chan.sendToServer(proto::encodeMessage(ack));
-            server.pumpAll(sep);
+            serve(ack);
             drainToClient();
         };
 
@@ -265,9 +251,7 @@ runWorkload(const std::string &dir, std::uint64_t rotate_every,
             if (!honest)
                 for (std::size_t b = 0; b < resp.size(); ++b)
                     resp.flip(b);
-            chan.sendToServer(proto::encodeMessage(
-                proto::HeartbeatProof{hb->nonce, resp}));
-            server.pumpAll(sep);
+            serve(proto::HeartbeatProof{hb->nonce, resp});
             drainToClient();
             server.stopHeartbeat(id);
         };
@@ -534,30 +518,25 @@ TEST(CrashRecovery, RestartedServerContinuesFromRecoveredState)
     server.attachDurability(&mgr);
     server.seedCompletedRemaps(rec.remapOutcomes);
 
-    proto::InMemoryChannel chan;
-    proto::ServerEndpoint sep(chan);
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    util::ThreadPool pool(1);
     for (std::uint64_t id : {201, 202}) {
-        chan.sendToServer(
-            proto::encodeMessage(proto::AuthRequest{id}));
-        server.pumpAll(sep);
+        conn.sendMessage(id, proto::AuthRequest{id});
+        loop.pump(pool);
         std::optional<proto::ChallengeMsg> ch;
-        while (auto frame = chan.receiveAtClient()) {
-            auto m = proto::decodeMessage(*frame);
+        for (const auto &[stream, m] : conn.readMessages())
             if (const auto *c = std::get_if<proto::ChallengeMsg>(&m))
                 ch = *c;
-        }
         ASSERT_TRUE(ch.has_value()) << "device " << id;
         auto resp = honestResponse(server.database().at(id),
                                    ch->challenge);
-        chan.sendToServer(proto::encodeMessage(
-            proto::ResponseMsg{ch->nonce, resp}));
-        server.pumpAll(sep);
+        conn.sendMessage(id, proto::ResponseMsg{ch->nonce, resp});
+        loop.pump(pool);
         bool accepted = false;
-        while (auto frame = chan.receiveAtClient()) {
-            auto m = proto::decodeMessage(*frame);
+        for (const auto &[stream, m] : conn.readMessages())
             if (const auto *d = std::get_if<proto::AuthDecision>(&m))
                 accepted = d->accepted;
-        }
         EXPECT_TRUE(accepted) << "device " << id;
     }
 }

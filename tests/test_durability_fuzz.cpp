@@ -22,6 +22,7 @@
 #include "mc/mapgen.hpp"
 #include "server/durability.hpp"
 #include "server/storage.hpp"
+#include "test_tmpdir.hpp"
 
 namespace srv = authenticache::server;
 namespace jnl = authenticache::server::journal;
@@ -43,18 +44,7 @@ quickMode()
     return v != nullptr && *v != '\0' && *v != '0';
 }
 
-struct TempDir
-{
-    explicit TempDir(const std::string &name)
-        : path(fs::temp_directory_path() / name)
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-    std::string str() const { return path.string(); }
-    fs::path path;
-};
+using authenticache::testutil::TempDir;
 
 std::vector<std::uint8_t>
 readFile(const std::string &path)

@@ -12,6 +12,7 @@
 
 #include "firmware/keygen.hpp"
 #include "mc/mapgen.hpp"
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
@@ -20,6 +21,7 @@ namespace sim = authenticache::sim;
 namespace core = authenticache::core;
 namespace crypto = authenticache::crypto;
 namespace proto = authenticache::protocol;
+namespace net = authenticache::net;
 namespace srv = authenticache::server;
 using authenticache::util::Rng;
 
@@ -131,12 +133,11 @@ TEST_F(MultiLevelIntegration, EndToEndAuthentication)
     auto reserved = srv::defaultReservedLevel(*client);
     server.enroll(5, *client, levels, {reserved});
 
-    proto::InMemoryChannel channel;
-    proto::ServerEndpoint server_end(channel);
-    srv::DeviceAgent agent(5, *client,
-                           proto::ClientEndpoint(channel));
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    srv::DeviceAgent agent(5, *client, conn.uplink(5));
     agent.requestAuthentication();
-    srv::runExchange(server, server_end, agent);
+    net::runExchange(conn, agent);
 
     ASSERT_TRUE(agent.lastDecision().has_value())
         << (agent.errors().empty() ? "no decision"

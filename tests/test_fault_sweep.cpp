@@ -6,11 +6,16 @@
  * contract is that each faulted run either completes or fails with a
  * clean status -- no hang, no leaked pending session after GC, no
  * double-retired challenge pair, and both sides' logical-map keys
- * stay in sync. The whole sweep is replayed under the same seeds and
- * must produce bit-for-bit identical outcomes.
+ * stay in sync. Every frame crosses net::LoopbackTransport (wire
+ * framing, admission, batch lift), which injects the fault. The whole
+ * sweep is replayed under the same seeds, must produce bit-for-bit
+ * identical outcomes, and must match the checked-in golden
+ * (tests/golden/fault_sweep.txt) at any server pool width.
  */
 
+#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -18,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "substrate_test_util.hpp"
 
@@ -25,7 +31,9 @@ namespace fw = authenticache::firmware;
 namespace testutil = authenticache::testutil;
 namespace core = authenticache::core;
 namespace proto = authenticache::protocol;
+namespace net = authenticache::net;
 namespace srv = authenticache::server;
+namespace util = authenticache::util;
 using authenticache::util::SimClock;
 
 namespace {
@@ -52,15 +60,15 @@ frameName(std::uint64_t index)
 }
 
 const char *
-faultName(proto::FaultType t)
+faultName(net::FaultType t)
 {
     switch (t) {
-      case proto::FaultType::None: return "none";
-      case proto::FaultType::Drop: return "drop";
-      case proto::FaultType::Duplicate: return "duplicate";
-      case proto::FaultType::Reorder: return "reorder";
-      case proto::FaultType::Delay: return "delay";
-      case proto::FaultType::Corrupt: return "corrupt";
+      case net::FaultType::None: return "none";
+      case net::FaultType::Drop: return "drop";
+      case net::FaultType::Duplicate: return "duplicate";
+      case net::FaultType::Reorder: return "reorder";
+      case net::FaultType::Delay: return "delay";
+      case net::FaultType::Corrupt: return "corrupt";
     }
     return "?";
 }
@@ -156,12 +164,14 @@ statusName(const std::optional<fw::AuthOutcome::Status> &s)
 
 /**
  * Run the canonical exchange under one fault plan on a fresh device,
- * server, channel, and clock, all rebuilt from the same seeds: the
- * only degree of freedom between runs is the plan itself.
+ * server, transport, and clock, all rebuilt from the same seeds: the
+ * only degree of freedom between runs is the plan itself (the server's
+ * pool width must not matter).
  */
 RunOutcome
 runFaultedExchange(const DeviceTemplate &tmpl,
-                   const proto::FaultPlan &fault_plan,
+                   const net::FaultPlan &fault_plan,
+                   util::ThreadPool &pool,
                    proto::Transcript *tap = nullptr)
 {
     auto chip = testutil::makeTestSubstrate(kChipSeed);
@@ -176,25 +186,24 @@ runFaultedExchange(const DeviceTemplate &tmpl,
                          {tmpl.reserved});
 
     SimClock clock;
-    proto::InMemoryChannel channel;
-    channel.bindClock(&clock);
-    channel.setFaultPlan(fault_plan);
-    if (tap)
-        channel.attachTranscript(tap);
-    proto::ServerEndpoint server_end(channel);
     server.bindClock(&clock);
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    loop.bindClock(&clock);
+    loop.setFaultPlan(fault_plan);
+    if (tap)
+        loop.attachTranscript(tap);
+    net::LoopbackTransport::Client &conn = *loop.connect();
 
-    srv::DeviceAgent agent(kDeviceId, client,
-                           proto::ClientEndpoint(channel));
+    srv::DeviceAgent agent(kDeviceId, client, conn.uplink(kDeviceId));
     agent.bindClock(&clock);
 
     RunOutcome out;
     agent.requestAuthentication();
-    auto auth = srv::runExchangeSteps(server, server_end, agent,
-                                      clock, channel, kMaxSteps);
-    server.startRemap(kDeviceId, server_end);
-    auto remap = srv::runExchangeSteps(server, server_end, agent,
-                                       clock, channel, kMaxSteps);
+    auto auth = net::runExchangeSteps(server, conn, agent, clock,
+                                      kMaxSteps, pool);
+    server.startRemap(kDeviceId, conn.downlink(kDeviceId));
+    auto remap = net::runExchangeSteps(server, conn, agent, clock,
+                                       kMaxSteps, pool);
 
     out.quiesced = auth.quiesced && remap.quiesced;
     out.steps = auth.steps + remap.steps;
@@ -223,26 +232,44 @@ runFaultedExchange(const DeviceTemplate &tmpl,
 }
 
 std::vector<std::pair<std::string, RunOutcome>>
-runFullSweep(const DeviceTemplate &tmpl)
+runFullSweep(const DeviceTemplate &tmpl, util::ThreadPool &pool)
 {
-    const proto::FaultType kinds[] = {
-        proto::FaultType::Drop, proto::FaultType::Duplicate,
-        proto::FaultType::Reorder, proto::FaultType::Delay,
-        proto::FaultType::Corrupt};
+    const net::FaultType kinds[] = {
+        net::FaultType::Drop, net::FaultType::Duplicate,
+        net::FaultType::Reorder, net::FaultType::Delay,
+        net::FaultType::Corrupt};
 
     std::vector<std::pair<std::string, RunOutcome>> sweep;
     for (auto kind : kinds) {
         for (std::uint64_t frame = 0; frame < kBaselineFrames;
              ++frame) {
-            proto::FaultPlan plan(kPlanSeed);
+            net::FaultPlan plan(kPlanSeed);
             plan.add({kind, frame, kDelaySteps});
             std::string label = std::string(faultName(kind)) + "@" +
                                 frameName(frame);
             sweep.emplace_back(label,
-                               runFaultedExchange(tmpl, plan));
+                               runFaultedExchange(tmpl, plan, pool));
         }
     }
     return sweep;
+}
+
+/** The sweep as the golden file spells it: one "[sweep]" line each. */
+std::string
+sweepLines(const std::vector<std::pair<std::string, RunOutcome>> &sweep)
+{
+    std::string out;
+    for (const auto &[label, outcome] : sweep)
+        out += "[sweep] " + label + ": " + outcome.serialize() + "\n";
+    return out;
+}
+
+std::string
+goldenSweep()
+{
+    std::ifstream in(AUTH_GOLDEN_DIR "/fault_sweep.txt");
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
 }
 
 } // namespace
@@ -271,8 +298,9 @@ DeviceTemplate *FaultSweep::tmpl = nullptr;
 TEST_F(FaultSweep, BaselineIsSevenFramesAndClean)
 {
     proto::Transcript tap;
-    auto out =
-        runFaultedExchange(*tmpl, proto::FaultPlan(kPlanSeed), &tap);
+    util::ThreadPool pool(1);
+    auto out = runFaultedExchange(*tmpl, net::FaultPlan(kPlanSeed),
+                                  pool, &tap);
     EXPECT_TRUE(out.quiesced);
     EXPECT_EQ(out.authStatus, "Ok");
     EXPECT_TRUE(out.accepted);
@@ -287,14 +315,15 @@ TEST_F(FaultSweep, BaselineIsSevenFramesAndClean)
 
 TEST_F(FaultSweep, EverySingleFaultCompletesOrFailsClean)
 {
+    util::ThreadPool pool(1);
     const auto baseline =
-        runFaultedExchange(*tmpl, proto::FaultPlan(kPlanSeed));
+        runFaultedExchange(*tmpl, net::FaultPlan(kPlanSeed), pool);
     ASSERT_TRUE(baseline.quiesced);
 
-    for (const auto &[label, out] : runFullSweep(*tmpl)) {
+    const auto sweep = runFullSweep(*tmpl, pool);
+    std::cout << sweepLines(sweep);
+    for (const auto &[label, out] : sweep) {
         SCOPED_TRACE(label);
-        std::cout << "[sweep] " << label << ": " << out.serialize()
-                  << "\n";
 
         // No hang: the exchange reached quiescence in budget.
         EXPECT_TRUE(out.quiesced);
@@ -332,13 +361,13 @@ TEST_F(FaultSweep, EverySingleFaultCompletesOrFailsClean)
 
 TEST_F(FaultSweep, SweepIsDeterministicAcrossRuns)
 {
-    auto first = runFullSweep(*tmpl);
-    auto second = runFullSweep(*tmpl);
-    ASSERT_EQ(first.size(), second.size());
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        SCOPED_TRACE(first[i].first);
-        EXPECT_EQ(first[i].first, second[i].first);
-        EXPECT_EQ(first[i].second.serialize(),
-                  second[i].second.serialize());
+    // Two runs, at different server pool widths, each byte-identical
+    // to the checked-in golden.
+    const std::string golden = goldenSweep();
+    ASSERT_FALSE(golden.empty()) << "missing tests/golden/fault_sweep.txt";
+    for (unsigned width : {1u, 3u}) {
+        SCOPED_TRACE(width);
+        util::ThreadPool pool(width);
+        EXPECT_EQ(sweepLines(runFullSweep(*tmpl, pool)), golden);
     }
 }

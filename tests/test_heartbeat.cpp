@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/drift.hpp"
 #include "substrate/drift_injector.hpp"
@@ -20,6 +21,7 @@
 
 namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
+namespace net = authenticache::net;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
 namespace sub = authenticache::substrate;
@@ -28,7 +30,7 @@ namespace util = authenticache::util;
 
 namespace {
 
-/** A full device + server + agent harness over an in-memory channel. */
+/** A full device + server + agent harness over a loopback transport. */
 struct HeartbeatRig
 {
     std::unique_ptr<sub::FingerprintSubstrate> chip;
@@ -36,8 +38,11 @@ struct HeartbeatRig
     fw::AuthenticacheClient client;
     srv::AuthenticationServer server;
     util::SimClock clock;
-    proto::InMemoryChannel channel;
-    proto::ServerEndpoint serverEnd{channel};
+    util::ThreadPool pool{1};
+    net::LoopbackTransport loop;
+    net::LoopbackTransport::Client &conn;
+    /** Server pushes (heartbeat rounds, remaps) toward the device. */
+    proto::ReplySink &serverEnd;
     srv::DeviceAgent agent;
 
     static fw::ClientConfig clientConfig()
@@ -53,7 +58,10 @@ struct HeartbeatRig
         : chip(testutil::makeTestSubstrate(die_seed)),
           client(*chip, machine, clientConfig()),
           server(cfg, server_seed),
-          agent(die_seed, client, proto::ClientEndpoint(channel))
+          loop(server.frontEnd(), {}),
+          conn(*loop.connect()),
+          serverEnd(conn.downlink(die_seed)),
+          agent(die_seed, client, conn.uplink(die_seed))
     {
         client.boot();
         auto levels = srv::defaultChallengeLevels(client, 2);
@@ -65,13 +73,13 @@ struct HeartbeatRig
 
     std::uint64_t deviceId() const { return agent_id; }
 
-    void pump()
+    void pump() { net::runExchange(conn, agent, pool); }
+
+    /** Hand the agent every frame that has reached the device. */
+    void receiveAll()
     {
-        bool progress = true;
-        while (progress) {
-            progress = server.pumpOnce(serverEnd);
-            progress |= agent.pumpOnce();
-        }
+        for (const auto &frame : conn.readFrames())
+            agent.receive(frame.payload);
     }
 
     /** One simulated step: pump, advance, cadence tick, retries. */
@@ -80,7 +88,7 @@ struct HeartbeatRig
         if (pump_agent)
             pump();
         else
-            server.pumpAll(serverEnd);
+            loop.pumpUntilIdle(pool);
         clock.advance(1);
         server.tickHeartbeats(serverEnd);
         server.tick();
@@ -122,7 +130,7 @@ TEST(Heartbeat, CleanSessionHoldsTrustHigh)
     EXPECT_LE(rig.server.sessions().heartbeatsFailed(), 1u);
     EXPECT_EQ(rig.server.sessions().revocations(), 0u);
     EXPECT_EQ(rig.server.sessions().activeHeartbeats(), 1u);
-    rig.agent.pumpAll(); // Drain any verdict still in flight.
+    rig.receiveAll(); // Drain any verdict still in flight.
     ASSERT_TRUE(rig.agent.lastTrust().has_value());
     EXPECT_EQ(*rig.agent.lastTrust(), record.trustScore());
     EXPECT_GE(rig.agent.heartbeatsAnswered(), 5u);
@@ -149,18 +157,18 @@ TEST(Heartbeat, SilentClientDecaysToRevocation)
     EXPECT_GT(rig.server.sessions().trustDecays(), 2u);
 
     // The queued Revoke reaches the agent once it finally pumps.
-    rig.agent.pumpAll();
+    rig.receiveAll();
     EXPECT_TRUE(rig.agent.revoked());
 
     // A revoked device is refused plain authentication too.
     rig.agent.requestAuthentication();
-    srv::runExchange(rig.server, rig.serverEnd, rig.agent);
+    rig.pump();
     ASSERT_FALSE(rig.agent.errors().empty());
     EXPECT_EQ(rig.agent.errors().back(), "device revoked");
 
     // And a fresh heartbeat session is refused.
     rig.server.startHeartbeat(9, rig.serverEnd);
-    rig.agent.pumpAll();
+    rig.receiveAll();
     EXPECT_EQ(rig.agent.errors().back(), "device revoked");
 }
 
@@ -204,7 +212,7 @@ TEST(Heartbeat, AdminUnlockClearsRevocationAndRestoresTrust)
 
     // And the device authenticates again.
     rig.agent.requestAuthentication();
-    srv::runExchange(rig.server, rig.serverEnd, rig.agent);
+    rig.pump();
     ASSERT_TRUE(rig.agent.lastDecision().has_value());
     EXPECT_TRUE(rig.agent.lastDecision()->accepted);
 }
@@ -218,10 +226,9 @@ TEST(Heartbeat, StepUpSessionsUseFullWidthChallenges)
     HeartbeatRig rig(cfg);
     rig.server.startHeartbeat(9, rig.serverEnd);
 
-    proto::ClientEndpoint peek(rig.channel);
-    auto msg = peek.receive();
-    ASSERT_TRUE(msg.has_value());
-    auto *hb = std::get_if<proto::Heartbeat>(&*msg);
+    auto msgs = rig.conn.readMessages();
+    ASSERT_EQ(msgs.size(), 1u);
+    auto *hb = std::get_if<proto::Heartbeat>(&msgs[0].second);
     ASSERT_NE(hb, nullptr);
     EXPECT_EQ(hb->challenge.size(), cfg.challengeBits);
     EXPECT_EQ(hb->seq, 1u);
@@ -233,10 +240,9 @@ TEST(Heartbeat, NominalSessionsUseLowCostChallenges)
     HeartbeatRig rig(cfg);
     rig.server.startHeartbeat(9, rig.serverEnd);
 
-    proto::ClientEndpoint peek(rig.channel);
-    auto msg = peek.receive();
-    ASSERT_TRUE(msg.has_value());
-    auto *hb = std::get_if<proto::Heartbeat>(&*msg);
+    auto msgs = rig.conn.readMessages();
+    ASSERT_EQ(msgs.size(), 1u);
+    auto *hb = std::get_if<proto::Heartbeat>(&msgs[0].second);
     ASSERT_NE(hb, nullptr);
     EXPECT_EQ(hb->challenge.size(), cfg.trust.heartbeatBits);
     EXPECT_LT(cfg.trust.heartbeatBits, cfg.challengeBits);
@@ -292,14 +298,14 @@ TEST(Heartbeat, BudgetExhaustionForcesReenrollment)
     EXPECT_EQ(rig.server.sessions().activeHeartbeats(), 0u);
 
     // Auth and a fresh heartbeat are both refused until re-enrollment.
-    rig.agent.pumpAll();
+    rig.receiveAll();
     rig.agent.requestAuthentication();
-    srv::runExchange(rig.server, rig.serverEnd, rig.agent);
+    rig.pump();
     ASSERT_FALSE(rig.agent.errors().empty());
     EXPECT_EQ(rig.agent.errors().back(), "re-enrollment required");
 
     rig.server.startHeartbeat(9, rig.serverEnd);
-    rig.agent.pumpAll();
+    rig.receiveAll();
     EXPECT_EQ(rig.agent.errors().back(), "re-enrollment required");
 }
 
@@ -310,34 +316,31 @@ TEST(Heartbeat, DuplicateProofReplaysCachedVerdict)
     rig.server.startHeartbeat(9, rig.serverEnd);
 
     // Answer round 1, capturing the proof frame for replay.
-    proto::ClientEndpoint client_end(rig.channel);
-    auto msg = client_end.receive();
-    ASSERT_TRUE(msg.has_value());
-    auto *hb = std::get_if<proto::Heartbeat>(&*msg);
+    auto msgs = rig.conn.readMessages();
+    ASSERT_EQ(msgs.size(), 1u);
+    auto *hb = std::get_if<proto::Heartbeat>(&msgs[0].second);
     ASSERT_NE(hb, nullptr);
     auto outcome = rig.client.authenticate(hb->challenge);
     ASSERT_TRUE(outcome.ok());
     proto::HeartbeatProof proof;
     proof.nonce = hb->nonce;
     proof.response = outcome.response;
-    client_end.send(proof);
-    rig.server.pumpAll(rig.serverEnd);
+    rig.conn.sendMessage(9, proof);
+    rig.loop.pump(rig.pool);
     const std::uint32_t trust_after =
         rig.server.database().at(9).trustScore();
 
     // The duplicate replays the cached TrustUpdate and never
     // re-scores the ledger.
-    client_end.send(proof);
-    rig.server.pumpAll(rig.serverEnd);
+    rig.conn.sendMessage(9, proof);
+    rig.loop.pump(rig.pool);
     EXPECT_EQ(rig.server.database().at(9).trustScore(), trust_after);
     EXPECT_EQ(rig.server.duplicateCompletions(), 1u);
 
-    auto replay = client_end.receive(); // Original verdict.
-    ASSERT_TRUE(replay.has_value());
-    auto dup = client_end.receive(); // Replayed verdict.
-    ASSERT_TRUE(dup.has_value());
-    auto *v1 = std::get_if<proto::TrustUpdate>(&*replay);
-    auto *v2 = std::get_if<proto::TrustUpdate>(&*dup);
+    auto verdicts = rig.conn.readMessages(); // Original, replayed.
+    ASSERT_EQ(verdicts.size(), 2u);
+    auto *v1 = std::get_if<proto::TrustUpdate>(&verdicts[0].second);
+    auto *v2 = std::get_if<proto::TrustUpdate>(&verdicts[1].second);
     ASSERT_NE(v1, nullptr);
     ASSERT_NE(v2, nullptr);
     EXPECT_EQ(v1->trust, v2->trust);
@@ -371,7 +374,7 @@ TEST(Heartbeat, DriftTrajectoryIsDeterministic)
         auto cfg = baseConfig();
         HeartbeatRig rig(cfg);
         proto::Transcript transcript;
-        rig.channel.attachTranscript(&transcript);
+        rig.loop.attachTranscript(&transcript);
 
         sim::DriftScheduleConfig dcfg;
         dcfg.rampSteps = 40;
@@ -485,7 +488,7 @@ TEST(Heartbeat, RevokeMessageRoundTripsThroughAgent)
     // torn down server-side); the agent discovers it on its next
     // exchange attempt.
     rig.agent.requestAuthentication();
-    srv::runExchange(rig.server, rig.serverEnd, rig.agent);
+    rig.pump();
     ASSERT_FALSE(rig.agent.errors().empty());
     EXPECT_EQ(rig.agent.errors().back(), "device revoked");
 }

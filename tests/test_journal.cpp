@@ -19,6 +19,7 @@
 #include "server/journal.hpp"
 #include "server/storage.hpp"
 #include "util/crc32.hpp"
+#include "test_tmpdir.hpp"
 
 namespace srv = authenticache::server;
 namespace jnl = authenticache::server::journal;
@@ -71,19 +72,7 @@ roundTrip(const jnl::Event &event)
     return decoded;
 }
 
-/** A scratch directory wiped on destruction. */
-struct TempDir
-{
-    explicit TempDir(const std::string &name)
-        : path(fs::temp_directory_path() / name)
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-    std::string str() const { return path.string(); }
-    fs::path path;
-};
+using authenticache::testutil::TempDir;
 
 std::vector<std::uint8_t>
 readFile(const std::string &path)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "server/storage.hpp"
 #include "sim/chip.hpp"
@@ -16,6 +17,7 @@ namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
 namespace core = authenticache::core;
 namespace proto = authenticache::protocol;
+namespace net = authenticache::net;
 namespace srv = authenticache::server;
 using authenticache::util::Rng;
 
@@ -115,9 +117,11 @@ class Lockout : public ::testing::Test
         server->enroll(9, *client, levels,
                        {srv::defaultReservedLevel(*client)});
 
-        server_end = std::make_unique<proto::ServerEndpoint>(channel);
-        agent = std::make_unique<srv::DeviceAgent>(
-            9, *client, proto::ClientEndpoint(channel));
+        loop = std::make_unique<net::LoopbackTransport>(
+            server->frontEnd(), net::TransportConfig{});
+        conn = loop->connect();
+        agent = std::make_unique<srv::DeviceAgent>(9, *client,
+                                                   conn->uplink(9));
     }
 
     /** Run one auth with the response sabotaged to force rejection. */
@@ -126,27 +130,27 @@ class Lockout : public ::testing::Test
     {
         agent->requestAuthentication();
         // Pump manually so we can corrupt the response in flight.
-        server->pumpOnce(*server_end); // Request -> challenge.
-        auto msg = proto::ClientEndpoint(channel).receive();
-        ASSERT_TRUE(msg.has_value());
-        auto *ch = std::get_if<proto::ChallengeMsg>(&*msg);
+        loop->pump(pool); // Request -> challenge.
+        auto msgs = conn->readMessages();
+        ASSERT_EQ(msgs.size(), 1u);
+        auto *ch = std::get_if<proto::ChallengeMsg>(&msgs[0].second);
         ASSERT_NE(ch, nullptr);
         proto::ResponseMsg bogus;
         bogus.nonce = ch->nonce;
         bogus.response = core::Response(ch->challenge.size());
         for (std::size_t i = 0; i < bogus.response.size(); i += 2)
             bogus.response.flip(i); // Half the bits wrong.
-        proto::ClientEndpoint(channel).send(bogus);
-        server->pumpOnce(*server_end);
-        agent->pumpAll();
+        conn->sendMessage(9, bogus);
+        net::runExchange(*conn, *agent, pool);
     }
 
     std::unique_ptr<sim::SimulatedChip> chip;
     std::unique_ptr<fw::SimulatedMachine> machine;
     std::unique_ptr<fw::AuthenticacheClient> client;
     std::unique_ptr<srv::AuthenticationServer> server;
-    proto::InMemoryChannel channel;
-    std::unique_ptr<proto::ServerEndpoint> server_end;
+    std::unique_ptr<net::LoopbackTransport> loop;
+    net::LoopbackTransport::Client *conn = nullptr;
+    authenticache::util::ThreadPool pool{1};
     std::unique_ptr<srv::DeviceAgent> agent;
 };
 
@@ -160,7 +164,7 @@ TEST_F(Lockout, LocksAfterConsecutiveFailures)
 
     // Further requests are refused outright.
     agent->requestAuthentication();
-    srv::runExchange(*server, *server_end, *agent);
+    net::runExchange(*conn, *agent, pool);
     ASSERT_FALSE(agent->errors().empty());
     EXPECT_NE(agent->errors().back().find("device locked"),
               std::string::npos);
@@ -172,7 +176,7 @@ TEST_F(Lockout, SuccessResetsTheCounter)
     failOnce();
     // Genuine authentication succeeds and clears the streak.
     agent->requestAuthentication();
-    srv::runExchange(*server, *server_end, *agent);
+    net::runExchange(*conn, *agent, pool);
     ASSERT_TRUE(agent->lastDecision().has_value());
     ASSERT_TRUE(agent->lastDecision()->accepted);
     EXPECT_EQ(server->database().at(9).consecutiveFailures(), 0u);
@@ -192,7 +196,7 @@ TEST_F(Lockout, AdminUnlockRestoresService)
     server->unlockDevice(9);
     EXPECT_FALSE(server->database().at(9).locked());
     agent->requestAuthentication();
-    srv::runExchange(*server, *server_end, *agent);
+    net::runExchange(*conn, *agent, pool);
     ASSERT_TRUE(agent->lastDecision().has_value());
     EXPECT_TRUE(agent->lastDecision()->accepted);
 }

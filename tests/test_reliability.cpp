@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the session-reliability layer: the deterministic
- * retry policy, the channel fault primitives, client-side timeout
+ * retry policy, frames crossing the loopback transport (FIFO order,
+ * server pushes) and its fault hook, client-side timeout
  * with a clean TimedOut status, server-side session expiry, and the
  * composition of the lockout policy with duplicated frames (a
  * retransmitted rejected response must never count as two failures).
@@ -11,14 +12,17 @@
 
 #include <gtest/gtest.h>
 
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
 namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
 namespace core = authenticache::core;
+namespace net = authenticache::net;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
+namespace util = authenticache::util;
 using authenticache::util::SimClock;
 
 namespace {
@@ -36,6 +40,36 @@ testFrame()
 {
     return proto::encodeMessage(proto::AuthRequest{77});
 }
+
+/**
+ * A server with no devices behind a loopback transport: every
+ * AuthRequest draws an ErrorMsg on its own stream, so the reply
+ * streams show which client frames crossed the fault hook, and
+ * downlink pushes show the server->client direction.
+ */
+struct FaultRig
+{
+    explicit FaultRig(const net::FaultPlan &plan = net::FaultPlan())
+    {
+        loop.setFaultPlan(plan);
+    }
+
+    /** Pump once and return the streams of the frames that arrive. */
+    std::vector<std::uint64_t>
+    replyStreams()
+    {
+        loop.pump(pool);
+        std::vector<std::uint64_t> out;
+        for (const auto &frame : conn.readFrames())
+            out.push_back(frame.stream);
+        return out;
+    }
+
+    srv::AuthenticationServer server{srv::ServerConfig{}, 1};
+    net::LoopbackTransport loop{server.frontEnd(), {}};
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    util::ThreadPool pool{1};
+};
 
 } // namespace
 
@@ -70,82 +104,132 @@ TEST(RetryPolicy, BackoffIsBoundedByCap)
     EXPECT_GE(deep, p.timeoutSteps + p.backoffCapSteps);
 }
 
+TEST(Channel, FifoBothDirections)
+{
+    FaultRig rig;
+    rig.conn.sendMessage(1, proto::AuthRequest{1});
+    rig.conn.sendMessage(2, proto::AuthRequest{2});
+    EXPECT_EQ(rig.replyStreams(), (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_TRUE(rig.replyStreams().empty());
+
+    rig.conn.downlink(7).send(proto::AuthDecision{5, true, 0});
+    auto pushed = rig.conn.readMessages();
+    ASSERT_EQ(pushed.size(), 1u);
+    EXPECT_EQ(pushed[0].first, 7u);
+    EXPECT_TRUE(std::get<proto::AuthDecision>(pushed[0].second).accepted);
+}
+
+TEST(Channel, PushSinkOutlivesStreamRetirement)
+{
+    FaultRig rig;
+    proto::ReplySink &push = rig.conn.downlink(5);
+    // A request on the push's stream ends with a terminal error, so
+    // the core retires its own sink for stream 5.
+    rig.conn.sendMessage(5, proto::AuthRequest{1});
+    EXPECT_EQ(rig.replyStreams(), (std::vector<std::uint64_t>{5}));
+    EXPECT_EQ(rig.loop.counters().sinksRetired, 1u);
+
+    // The held push sink is unaffected, even by its own terminal send.
+    push.send(proto::ErrorMsg{"first"});
+    push.send(proto::AuthDecision{5, true, 0});
+    auto pushed = rig.conn.readMessages();
+    ASSERT_EQ(pushed.size(), 2u);
+    EXPECT_EQ(pushed[1].first, 5u);
+    EXPECT_TRUE(std::get<proto::AuthDecision>(pushed[1].second).accepted);
+}
+
+TEST(Channel, DropInjection)
+{
+    FaultRig rig(net::FaultPlan().add({net::FaultType::Drop, 0, 0}));
+    rig.conn.sendMessage(1, proto::AuthRequest{1});
+    EXPECT_TRUE(rig.replyStreams().empty());
+    rig.conn.sendMessage(2, proto::AuthRequest{2});
+    EXPECT_EQ(rig.replyStreams(), (std::vector<std::uint64_t>{2}));
+}
+
+TEST(Channel, CorruptionInjection)
+{
+    // The server answers the damaged request with a decode error on
+    // the request's own stream; the connection survives.
+    FaultRig rig(net::FaultPlan().add({net::FaultType::Corrupt, 0, 0}));
+    rig.conn.sendMessage(3, proto::AuthRequest{77});
+    rig.loop.pump(rig.pool);
+    auto replies = rig.conn.readMessages();
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].first, 3u);
+    auto *err = std::get_if<proto::ErrorMsg>(&replies[0].second);
+    ASSERT_NE(err, nullptr);
+    EXPECT_EQ(err->reason.rfind("decode: ", 0), 0u);
+    EXPECT_EQ(rig.loop.counters().codecErrors, 0u);
+    EXPECT_FALSE(rig.conn.serverClosed());
+}
+
 TEST(ChannelFaults, DropDiscardsExactlyTheTargetFrame)
 {
-    proto::InMemoryChannel channel;
-    channel.setFaultPlan(proto::FaultPlan(1).add(
-        {proto::FaultType::Drop, 1, 0}));
-    channel.sendToServer(testFrame());
-    channel.sendToServer(testFrame());
-    channel.sendToServer(testFrame());
-    EXPECT_TRUE(channel.receiveAtServer().has_value());
-    EXPECT_TRUE(channel.receiveAtServer().has_value());
-    EXPECT_FALSE(channel.receiveAtServer().has_value());
-    EXPECT_EQ(channel.faultCounters().drops, 1u);
-    EXPECT_TRUE(channel.idle());
+    FaultRig rig(net::FaultPlan(1).add({net::FaultType::Drop, 1, 0}));
+    for (std::uint64_t stream = 1; stream <= 3; ++stream)
+        rig.conn.sendMessage(stream, proto::AuthRequest{77});
+    EXPECT_EQ(rig.replyStreams(), (std::vector<std::uint64_t>{1, 3}));
+    EXPECT_EQ(rig.loop.faultCounters().drops, 1u);
+    EXPECT_TRUE(rig.loop.idle());
+    EXPECT_EQ(rig.loop.heldFrames(), 0u);
 }
 
 TEST(ChannelFaults, DuplicateDeliversTwice)
 {
-    proto::InMemoryChannel channel;
-    channel.setFaultPlan(proto::FaultPlan(1).add(
-        {proto::FaultType::Duplicate, 0, 0}));
-    channel.sendToClient(testFrame());
-    auto a = channel.receiveAtClient();
-    auto b = channel.receiveAtClient();
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(*a, *b);
-    EXPECT_FALSE(channel.receiveAtClient().has_value());
-    EXPECT_EQ(channel.faultCounters().duplicates, 1u);
+    FaultRig rig(
+        net::FaultPlan(1).add({net::FaultType::Duplicate, 0, 0}));
+    rig.conn.downlink(5).send(proto::AuthRequest{77});
+    auto frames = rig.conn.readFrames();
+    ASSERT_EQ(frames.size(), 2u);
+    EXPECT_EQ(frames[0].payload, testFrame());
+    EXPECT_EQ(frames[1].payload, testFrame());
+    EXPECT_EQ(rig.loop.faultCounters().duplicates, 1u);
 }
 
 TEST(ChannelFaults, ReorderJumpsTheQueue)
 {
-    proto::InMemoryChannel channel;
-    channel.setFaultPlan(proto::FaultPlan(1).add(
-        {proto::FaultType::Reorder, 1, 0}));
-    auto first = proto::encodeMessage(proto::AuthRequest{1});
-    auto second = proto::encodeMessage(proto::AuthRequest{2});
-    channel.sendToServer(first);
-    channel.sendToServer(second);
-    EXPECT_EQ(*channel.receiveAtServer(), second);
-    EXPECT_EQ(*channel.receiveAtServer(), first);
-    EXPECT_EQ(channel.faultCounters().reorders, 1u);
+    FaultRig rig(net::FaultPlan(1).add({net::FaultType::Reorder, 1, 0}));
+    rig.conn.sendMessage(1, proto::AuthRequest{77});
+    rig.conn.sendMessage(2, proto::AuthRequest{77});
+    EXPECT_EQ(rig.replyStreams(), (std::vector<std::uint64_t>{2, 1}));
+    EXPECT_EQ(rig.loop.faultCounters().reorders, 1u);
 }
 
 TEST(ChannelFaults, DelayHoldsFrameUntilRelease)
 {
     SimClock clock;
-    proto::InMemoryChannel channel;
-    channel.bindClock(&clock);
-    channel.setFaultPlan(proto::FaultPlan(1).add(
-        {proto::FaultType::Delay, 0, 5}));
-    channel.sendToServer(testFrame());
-    EXPECT_FALSE(channel.receiveAtServer().has_value());
-    EXPECT_FALSE(channel.idle()); // Held, not lost.
+    FaultRig rig(net::FaultPlan(1).add({net::FaultType::Delay, 0, 5}));
+    rig.loop.bindClock(&clock);
+    rig.conn.sendMessage(1, proto::AuthRequest{77});
+    EXPECT_TRUE(rig.replyStreams().empty());
+    EXPECT_EQ(rig.loop.heldFrames(), 1u); // Held, not lost.
     clock.advance(4);
-    EXPECT_FALSE(channel.receiveAtServer().has_value());
+    EXPECT_TRUE(rig.replyStreams().empty());
     clock.advance(1);
-    EXPECT_TRUE(channel.receiveAtServer().has_value());
-    EXPECT_TRUE(channel.idle());
-    EXPECT_EQ(channel.faultCounters().delays, 1u);
+    EXPECT_EQ(rig.replyStreams(), (std::vector<std::uint64_t>{1}));
+    EXPECT_EQ(rig.loop.heldFrames(), 0u);
+    EXPECT_EQ(rig.loop.faultCounters().delays, 1u);
 }
 
 TEST(ChannelFaults, CorruptionIsSeededAndReplayable)
 {
+    // Corrupt damages the message, not the wire frame: the frame
+    // arrives (its outer CRC is valid) and the message CRC rejects it.
     auto corruptOnce = [](std::uint64_t seed) {
-        proto::InMemoryChannel channel;
-        channel.setFaultPlan(proto::FaultPlan(seed).add(
-            {proto::FaultType::Corrupt, 0, 0}));
-        channel.sendToServer(testFrame());
-        return *channel.receiveAtServer();
+        FaultRig rig(
+            net::FaultPlan(seed).add({net::FaultType::Corrupt, 0, 0}));
+        rig.conn.downlink(5).send(proto::AuthRequest{77});
+        auto frames = rig.conn.readFrames();
+        EXPECT_EQ(frames.size(), 1u);
+        return frames.at(0).payload;
     };
     auto one = corruptOnce(42);
     auto two = corruptOnce(42);
     EXPECT_EQ(one, two);       // Same seed: bit-identical damage.
     EXPECT_NE(one, testFrame()); // But damage did happen.
     EXPECT_NE(corruptOnce(43), one); // Different seed, different bits.
+    EXPECT_THROW(proto::decodeMessage(one), proto::DecodeError);
 }
 
 class RetryMachine : public ::testing::Test
@@ -172,11 +256,13 @@ class RetryMachine : public ::testing::Test
         server->enroll(4, *client, levels,
                        {srv::defaultReservedLevel(*client)});
 
-        channel.bindClock(&clock);
         server->bindClock(&clock);
-        server_end = std::make_unique<proto::ServerEndpoint>(channel);
-        agent = std::make_unique<srv::DeviceAgent>(
-            4, *client, proto::ClientEndpoint(channel));
+        loop = std::make_unique<net::LoopbackTransport>(
+            server->frontEnd(), net::TransportConfig{});
+        loop->bindClock(&clock);
+        conn = loop->connect();
+        agent = std::make_unique<srv::DeviceAgent>(4, *client,
+                                                   conn->uplink(4));
         agent->bindClock(&clock);
     }
 
@@ -185,23 +271,24 @@ class RetryMachine : public ::testing::Test
     std::unique_ptr<fw::SimulatedMachine> machine;
     std::unique_ptr<fw::AuthenticacheClient> client;
     std::unique_ptr<srv::AuthenticationServer> server;
-    proto::InMemoryChannel channel;
-    std::unique_ptr<proto::ServerEndpoint> server_end;
+    std::unique_ptr<net::LoopbackTransport> loop;
+    net::LoopbackTransport::Client *conn = nullptr;
     std::unique_ptr<srv::DeviceAgent> agent;
+    util::ThreadPool pool{1};
 };
 
 TEST_F(RetryMachine, ExhaustedRetriesEndWithTimedOut)
 {
     // Every AuthRequest attempt is lost: the agent must give up with
     // a clean TimedOut status instead of wedging the exchange.
-    proto::FaultPlan plan(9);
+    net::FaultPlan plan(9);
     for (std::uint64_t i = 0; i < 8; ++i)
-        plan.add({proto::FaultType::Drop, i, 0});
-    channel.setFaultPlan(plan);
+        plan.add({net::FaultType::Drop, i, 0});
+    loop->setFaultPlan(plan);
 
     agent->requestAuthentication();
-    auto result = srv::runExchangeSteps(*server, *server_end, *agent,
-                                        clock, channel, 400);
+    auto result =
+        net::runExchangeSteps(*server, *conn, *agent, clock, 400, pool);
     EXPECT_TRUE(result.quiesced);
     EXPECT_FALSE(agent->sessionActive());
     ASSERT_TRUE(agent->lastAuthStatus().has_value());
@@ -213,11 +300,11 @@ TEST_F(RetryMachine, ExhaustedRetriesEndWithTimedOut)
 
 TEST_F(RetryMachine, SingleLossRecoversViaRetransmission)
 {
-    channel.setFaultPlan(proto::FaultPlan(9).add(
-        {proto::FaultType::Drop, 0, 0}));
+    loop->setFaultPlan(
+        net::FaultPlan(9).add({net::FaultType::Drop, 0, 0}));
     agent->requestAuthentication();
-    auto result = srv::runExchangeSteps(*server, *server_end, *agent,
-                                        clock, channel, 400);
+    auto result =
+        net::runExchangeSteps(*server, *conn, *agent, clock, 400, pool);
     EXPECT_TRUE(result.quiesced);
     ASSERT_TRUE(agent->lastDecision().has_value());
     EXPECT_TRUE(agent->lastDecision()->accepted);
@@ -228,9 +315,8 @@ TEST_F(RetryMachine, ServerExpiresAbandonedSessions)
 {
     // A request whose device never answers the challenge is garbage
     // collected once its deadline passes -- nothing leaks.
-    channel.sendToServer(
-        proto::encodeMessage(proto::AuthRequest{4}));
-    server->pumpOnce(*server_end);
+    conn->sendMessage(4, proto::AuthRequest{4});
+    loop->pump(pool);
     EXPECT_EQ(server->pendingSessions(), 1u);
 
     clock.advance(39);
@@ -243,12 +329,12 @@ TEST_F(RetryMachine, ServerExpiresAbandonedSessions)
     EXPECT_EQ(server->sessionsExpired(), 1u);
 
     // The expired nonce is dead: answering it now is rejected.
-    (void)channel.receiveAtClient(); // Discard the challenge.
+    (void)conn->readFrames(); // Discard the challenge.
     proto::ResponseMsg late;
     late.nonce = 0xDEAD;
     late.response = core::Response(32);
-    channel.sendToServer(proto::encodeMessage(late));
-    server->pumpOnce(*server_end);
+    conn->sendMessage(4, late);
+    loop->pump(pool);
     EXPECT_TRUE(server->reports().empty());
 }
 
@@ -274,23 +360,28 @@ class LockoutReplay : public ::testing::Test
         auto levels = srv::defaultChallengeLevels(*client, 1);
         server->enroll(4, *client, levels,
                        {srv::defaultReservedLevel(*client)});
-        server_end = std::make_unique<proto::ServerEndpoint>(channel);
+        loop = std::make_unique<net::LoopbackTransport>(
+            server->frontEnd(), net::TransportConfig{});
+        conn = loop->connect();
+    }
+
+    /** Send one frame and service it as a one-frame batch. */
+    void
+    serve(const proto::Message &m)
+    {
+        conn->sendMessage(4, m);
+        loop->pump(pool);
     }
 
     /** Open a session and build a response that must be rejected. */
     proto::ResponseMsg
     bogusResponse()
     {
-        while (channel.receiveAtClient()) {
-            // Drain decisions left over from earlier rounds.
-        }
-        channel.sendToServer(
-            proto::encodeMessage(proto::AuthRequest{4}));
-        server->pumpOnce(*server_end);
-        auto frame = channel.receiveAtClient();
-        EXPECT_TRUE(frame.has_value());
-        auto msg = proto::decodeMessage(*frame);
-        auto *ch = std::get_if<proto::ChallengeMsg>(&msg);
+        (void)conn->readFrames(); // Decisions from earlier rounds.
+        serve(proto::AuthRequest{4});
+        auto replies = conn->readMessages();
+        EXPECT_EQ(replies.size(), 1u);
+        auto *ch = std::get_if<proto::ChallengeMsg>(&replies.at(0).second);
         EXPECT_NE(ch, nullptr);
         proto::ResponseMsg bogus;
         bogus.nonce = ch->nonce;
@@ -304,33 +395,30 @@ class LockoutReplay : public ::testing::Test
     std::unique_ptr<fw::SimulatedMachine> machine;
     std::unique_ptr<fw::AuthenticacheClient> client;
     std::unique_ptr<srv::AuthenticationServer> server;
-    proto::InMemoryChannel channel;
-    std::unique_ptr<proto::ServerEndpoint> server_end;
+    std::unique_ptr<net::LoopbackTransport> loop;
+    net::LoopbackTransport::Client *conn = nullptr;
+    util::ThreadPool pool{1};
 };
 
 TEST_F(LockoutReplay, DuplicatedRejectedResponseCountsOnce)
 {
     // First rejection counts...
     auto bogus = bogusResponse();
-    auto frame = proto::encodeMessage(bogus);
-    channel.sendToServer(frame);
-    server->pumpOnce(*server_end);
+    serve(bogus);
     EXPECT_EQ(server->database().at(4).consecutiveFailures(), 1u);
     EXPECT_FALSE(server->database().at(4).locked());
 
     // ...but replaying the identical frame (a retransmission or a
     // network duplicate) is served from the completed cache and must
     // NOT count as a second failure toward the lockout threshold.
-    channel.sendToServer(frame);
-    server->pumpOnce(*server_end);
+    serve(bogus);
     EXPECT_EQ(server->database().at(4).consecutiveFailures(), 1u);
     EXPECT_FALSE(server->database().at(4).locked());
     EXPECT_EQ(server->duplicateCompletions(), 1u);
     EXPECT_EQ(server->reports().size(), 1u);
 
     // A genuinely fresh failure still advances the policy.
-    channel.sendToServer(proto::encodeMessage(bogusResponse()));
-    server->pumpOnce(*server_end);
+    serve(bogusResponse());
     EXPECT_EQ(server->database().at(4).consecutiveFailures(), 2u);
     EXPECT_TRUE(server->database().at(4).locked());
 }
@@ -339,14 +427,11 @@ TEST_F(LockoutReplay, DuplicateChallengeReissueDoesNotBurnPairs)
 {
     // Satellite invariant restated at the unit level: a retransmitted
     // AuthRequest never consumes fresh challenge pairs.
-    channel.sendToServer(proto::encodeMessage(proto::AuthRequest{4}));
-    server->pumpOnce(*server_end);
+    serve(proto::AuthRequest{4});
     auto consumedBefore = server->database().at(4).consumedCount(
         server->database().at(4).challengeLevels().front());
     for (int i = 0; i < 5; ++i) {
-        channel.sendToServer(
-            proto::encodeMessage(proto::AuthRequest{4}));
-        server->pumpOnce(*server_end);
+        serve(proto::AuthRequest{4});
     }
     EXPECT_EQ(server->database().at(4).consumedCount(
                   server->database().at(4).challengeLevels().front()),

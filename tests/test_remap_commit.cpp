@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
@@ -18,6 +19,7 @@ namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
 namespace core = authenticache::core;
 namespace crypto = authenticache::crypto;
+namespace net = authenticache::net;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
 
@@ -46,25 +48,39 @@ class RemapCommitFlow : public ::testing::Test
         server->enroll(8, *client, levels,
                        {srv::defaultReservedLevel(*client)});
 
-        server_end = std::make_unique<proto::ServerEndpoint>(channel);
-        agent = std::make_unique<srv::DeviceAgent>(
-            8, *client, proto::ClientEndpoint(channel));
+        loop = std::make_unique<net::LoopbackTransport>(
+            server->frontEnd(), net::TransportConfig{});
+        conn = loop->connect();
+        agent = std::make_unique<srv::DeviceAgent>(8, *client,
+                                                   conn->uplink(8));
+    }
+
+    /** Intercept the RemapRequest a fresh startRemap pushes. */
+    proto::RemapRequest
+    interceptRemapRequest()
+    {
+        server->startRemap(8, conn->downlink(8));
+        auto msgs = conn->readMessages();
+        EXPECT_EQ(msgs.size(), 1u);
+        auto *req = std::get_if<proto::RemapRequest>(&msgs.at(0).second);
+        EXPECT_NE(req, nullptr);
+        return req ? *req : proto::RemapRequest{};
     }
 
     std::unique_ptr<sim::SimulatedChip> chip;
     std::unique_ptr<fw::SimulatedMachine> machine;
     std::unique_ptr<fw::AuthenticacheClient> client;
     std::unique_ptr<srv::AuthenticationServer> server;
-    proto::InMemoryChannel channel;
-    std::unique_ptr<proto::ServerEndpoint> server_end;
+    std::unique_ptr<net::LoopbackTransport> loop;
+    net::LoopbackTransport::Client *conn = nullptr;
     std::unique_ptr<srv::DeviceAgent> agent;
 };
 
 TEST_F(RemapCommitFlow, CleanRemapCommitsBothSides)
 {
     crypto::Key256 before = client->mapKey();
-    server->startRemap(8, *server_end);
-    srv::runExchange(*server, *server_end, *agent);
+    server->startRemap(8, conn->downlink(8));
+    net::runExchange(*conn, *agent);
 
     EXPECT_EQ(server->remapsCommitted(), 1u);
     EXPECT_EQ(server->remapsRejected(), 0u);
@@ -77,21 +93,15 @@ TEST_F(RemapCommitFlow, CorruptedHelperIsRejectedWithoutDesync)
     crypto::Key256 before = client->mapKey();
     ASSERT_EQ(server->database().at(8).mapKey(), before);
 
-    server->startRemap(8, *server_end);
-
     // Intercept the RemapRequest and sabotage one helper group so
     // the client derives the wrong secret.
-    auto frame = channel.receiveAtClient();
-    ASSERT_TRUE(frame.has_value());
-    auto msg = proto::decodeMessage(*frame);
-    auto *req = std::get_if<proto::RemapRequest>(&msg);
-    ASSERT_NE(req, nullptr);
-    req->helper.flip(0);
-    req->helper.flip(1);
-    req->helper.flip(2); // Majority of the first 5-bit group flips.
-    channel.sendToClient(proto::encodeMessage(*req));
+    proto::RemapRequest req = interceptRemapRequest();
+    req.helper.flip(0);
+    req.helper.flip(1);
+    req.helper.flip(2); // Majority of the first 5-bit group flips.
+    agent->receive(proto::encodeMessage(req));
 
-    srv::runExchange(*server, *server_end, *agent);
+    net::runExchange(*conn, *agent);
 
     // The confirmation MAC exposed the mismatch: rejected, and both
     // sides still hold the old key.
@@ -102,13 +112,13 @@ TEST_F(RemapCommitFlow, CorruptedHelperIsRejectedWithoutDesync)
 
     // Authentication still works on the old key.
     agent->requestAuthentication();
-    srv::runExchange(*server, *server_end, *agent);
+    net::runExchange(*conn, *agent);
     ASSERT_TRUE(agent->lastDecision().has_value());
     EXPECT_TRUE(agent->lastDecision()->accepted);
 
     // And a clean retry succeeds.
-    server->startRemap(8, *server_end);
-    srv::runExchange(*server, *server_end, *agent);
+    server->startRemap(8, conn->downlink(8));
+    net::runExchange(*conn, *agent);
     EXPECT_EQ(server->remapsCommitted(), 1u);
     EXPECT_EQ(client->mapKey(), server->database().at(8).mapKey());
 }
@@ -116,28 +126,21 @@ TEST_F(RemapCommitFlow, CorruptedHelperIsRejectedWithoutDesync)
 TEST_F(RemapCommitFlow, StrayCommitIsIgnored)
 {
     crypto::Key256 before = client->mapKey();
-    channel.sendToClient(
-        proto::encodeMessage(proto::RemapCommit{12345, true}));
-    agent->pumpAll();
+    agent->receive(proto::encodeMessage(proto::RemapCommit{12345, true}));
     EXPECT_EQ(client->mapKey(), before);
 }
 
 TEST_F(RemapCommitFlow, ForgedConfirmationRejected)
 {
     // An attacker who hijacks the ack cannot confirm without the key.
-    server->startRemap(8, *server_end);
-    auto frame = channel.receiveAtClient();
-    ASSERT_TRUE(frame.has_value());
-    auto msg = proto::decodeMessage(*frame);
-    auto *req = std::get_if<proto::RemapRequest>(&msg);
-    ASSERT_NE(req, nullptr);
+    proto::RemapRequest req = interceptRemapRequest();
 
     proto::RemapAck forged;
-    forged.nonce = req->nonce;
+    forged.nonce = req.nonce;
     forged.success = true;
     forged.confirmation.fill(0xAB);
-    channel.sendToServer(proto::encodeMessage(forged));
-    server->pumpAll(*server_end);
+    conn->sendMessage(8, forged);
+    net::runExchange(*conn, *agent);
 
     EXPECT_EQ(server->remapsCommitted(), 0u);
     EXPECT_EQ(server->remapsRejected(), 1u);

@@ -15,6 +15,7 @@
 #include "attack/replay.hpp"
 #include "core/crp.hpp"
 #include "mc/mapgen.hpp"
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
@@ -22,6 +23,7 @@ namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
 namespace core = authenticache::core;
 namespace crypto = authenticache::crypto;
+namespace net = authenticache::net;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
 using authenticache::util::Rng;
@@ -253,7 +255,7 @@ TEST(VerifierConcurrentCopy, ConcurrentCopyConstructionFromLiveSource)
 
 /**
  * Full-stack fixture: one genuine device enrolled with a server,
- * talking over the in-memory channel.
+ * talking over the loopback transport.
  */
 class Integration : public ::testing::Test
 {
@@ -282,27 +284,28 @@ class Integration : public ::testing::Test
         auto reserved = srv::defaultReservedLevel(*client);
         server->enroll(42, *client, levels, {reserved});
 
-        channel.attachTranscript(&transcript);
-        server_endpoint =
-            std::make_unique<proto::ServerEndpoint>(channel);
-        agent = std::make_unique<srv::DeviceAgent>(
-            42, *client, proto::ClientEndpoint(channel));
+        loop = std::make_unique<net::LoopbackTransport>(
+            server->frontEnd(), net::TransportConfig{});
+        loop->attachTranscript(&transcript);
+        conn = loop->connect();
+        agent = std::make_unique<srv::DeviceAgent>(42, *client,
+                                                   conn->uplink(42));
     }
 
     void
     authenticateOnce()
     {
         agent->requestAuthentication();
-        srv::runExchange(*server, *server_endpoint, *agent);
+        net::runExchange(*conn, *agent);
     }
 
     std::unique_ptr<sim::SimulatedChip> chip;
     std::unique_ptr<fw::SimulatedMachine> machine;
     std::unique_ptr<fw::AuthenticacheClient> client;
     std::unique_ptr<srv::AuthenticationServer> server;
-    proto::InMemoryChannel channel;
     proto::Transcript transcript;
-    std::unique_ptr<proto::ServerEndpoint> server_endpoint;
+    std::unique_ptr<net::LoopbackTransport> loop;
+    net::LoopbackTransport::Client *conn = nullptr;
     std::unique_ptr<srv::DeviceAgent> agent;
 };
 
@@ -336,10 +339,10 @@ TEST_F(Integration, RepeatedAuthenticationsUseFreshChallenges)
 
 TEST_F(Integration, UnknownDeviceRejected)
 {
-    srv::DeviceAgent stranger(99, *client,
-                              proto::ClientEndpoint(channel));
+    net::LoopbackTransport::Client &line = *loop->connect();
+    srv::DeviceAgent stranger(99, *client, line.uplink(99));
     stranger.requestAuthentication();
-    srv::runExchange(*server, *server_endpoint, stranger);
+    net::runExchange(line, stranger);
     EXPECT_FALSE(stranger.lastDecision().has_value());
     ASSERT_FALSE(stranger.errors().empty());
     EXPECT_NE(stranger.errors()[0].find("unknown device"),
@@ -362,10 +365,10 @@ TEST_F(Integration, ImposterChipRejected)
     imposter.boot();
     imposter.setMapKey(client->mapKey());
 
-    srv::DeviceAgent imposter_agent(42, imposter,
-                                    proto::ClientEndpoint(channel));
+    net::LoopbackTransport::Client &line = *loop->connect();
+    srv::DeviceAgent imposter_agent(42, imposter, line.uplink(42));
     imposter_agent.requestAuthentication();
-    srv::runExchange(*server, *server_endpoint, imposter_agent);
+    net::runExchange(line, imposter_agent);
 
     ASSERT_TRUE(imposter_agent.lastDecision().has_value());
     EXPECT_FALSE(imposter_agent.lastDecision()->accepted);
@@ -388,8 +391,8 @@ TEST_F(Integration, ReplayedResponseNeverGrantsFreshAccess)
     std::uint64_t accepts_before =
         server->database().at(42).accepted();
 
-    attacker.replayToServer(channel, *frame);
-    server->pumpAll(*server_endpoint);
+    conn->write(net::encodeWireFrame(42, *frame));
+    net::runExchange(*conn, *agent);
 
     EXPECT_EQ(server->reports().size(), reports_before);
     EXPECT_EQ(server->database().at(42).accepted(), accepts_before);
@@ -400,9 +403,8 @@ TEST_F(Integration, ReplayedResponseNeverGrantsFreshAccess)
     proto::ResponseMsg stray;
     stray.nonce = 0xDEAD;
     stray.response = core::Response(128);
-    channel.sendToServer(proto::encodeMessage(stray));
-    server->pumpAll(*server_endpoint);
-    agent->pumpAll();
+    conn->sendMessage(42, stray);
+    net::runExchange(*conn, *agent);
     ASSERT_FALSE(agent->errors().empty());
     EXPECT_NE(agent->errors().back().find("unknown nonce"),
               std::string::npos);
@@ -410,9 +412,10 @@ TEST_F(Integration, ReplayedResponseNeverGrantsFreshAccess)
 
 TEST_F(Integration, CorruptedFrameHandled)
 {
-    channel.corruptNextFrames(1);
+    loop->setFaultPlan(net::FaultPlan().add(
+        {net::FaultType::Corrupt, loop->framesSent(), 0}));
     agent->requestAuthentication(); // This frame gets corrupted.
-    srv::runExchange(*server, *server_endpoint, *agent);
+    net::runExchange(*conn, *agent);
     // The server answered with a decode error; no decision reached.
     EXPECT_FALSE(agent->lastDecision().has_value());
     ASSERT_FALSE(agent->errors().empty());
@@ -430,8 +433,8 @@ TEST_F(Integration, RemapRotatesKeyAndAuthStillWorks)
     crypto::Key256 before = client->mapKey();
     ASSERT_EQ(server->database().at(42).mapKey(), before);
 
-    server->startRemap(42, *server_endpoint);
-    srv::runExchange(*server, *server_endpoint, *agent);
+    server->startRemap(42, conn->downlink(42));
+    net::runExchange(*conn, *agent);
 
     EXPECT_EQ(server->remapsCommitted(), 1u);
     EXPECT_EQ(agent->remapsProcessed(), 1u);

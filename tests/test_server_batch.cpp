@@ -3,21 +3,16 @@
  * Concurrent-vs-sequential equivalence for the batch front end.
  *
  * The server's contract is that handleBatch produces bit-identical
- * outcomes at any thread count, and that a one-frame batch (the
- * pumpOnce path every existing test uses) is the same machine. Two
- * suites enforce it:
- *
- *  - a 64-device mixed flood (honest auths, corrupted responses,
- *    duplicate requests/responses/acks, garbage frames, unknown
- *    devices and nonces, remap exchanges with tampered confirmations,
- *    lockouts) whose complete observable state -- per-device record
- *    state, server counters, the report log, and every reply byte --
- *    must be identical whether driven per-message, through
- *    handleBatch on one thread, or through handleBatch on eight;
- *
- *  - the canonical single-fault sweep of test_fault_sweep, re-driven
- *    through the batch front end and compared outcome-for-outcome
- *    against the per-message run.
+ * outcomes at any thread count, and that a one-frame batch is the
+ * same machine. A 64-device mixed flood (honest auths, corrupted
+ * responses, duplicate requests/responses/acks, garbage frames,
+ * unknown devices and nonces, remap exchanges with tampered
+ * confirmations, lockouts) enforces it: its complete observable state
+ * -- per-device record state, server counters, the report log, and
+ * every reply byte -- must be identical whether driven one frame per
+ * batch, through whole-round batches on one thread, or on eight. (The
+ * fault sweep's golden, tests/golden/fault_sweep.txt, pins the same
+ * contract for the faulted exchange at several pool widths.)
  *
  * Smaller suites cover the per-shard stats surface and the
  * per-component log-level overrides.
@@ -27,8 +22,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,10 +34,8 @@
 #include "crypto/fuzzy_extractor.hpp"
 #include "mc/mapgen.hpp"
 #include "server/server.hpp"
-#include "substrate_test_util.hpp"
 #include "util/logging.hpp"
 
-namespace fw = authenticache::firmware;
 namespace core = authenticache::core;
 namespace mc = authenticache::mc;
 namespace proto = authenticache::protocol;
@@ -71,7 +66,7 @@ bool duplicatesResponse(std::uint64_t id) { return id % 13 == 2; }
 bool tampersAck(std::uint64_t id) { return id % 8 == 0; }
 bool duplicatesAck(std::uint64_t id) { return id % 12 == 4; }
 
-/** One server-bound frame, addressed by channel slot. */
+/** One server-bound frame, addressed by reply slot. */
 struct TestFrame
 {
     std::size_t slot;
@@ -79,8 +74,8 @@ struct TestFrame
 };
 
 /**
- * The flood fixture: one server, one channel+endpoint per device so
- * reply transcripts stay separated, plus a stray slot for frames that
+ * The flood fixture: one server, one reply sink per device so reply
+ * transcripts stay separated, plus a stray slot for frames that
  * belong to no enrolled device.
  */
 struct Harness
@@ -88,8 +83,7 @@ struct Harness
     srv::ServerConfig cfg;
     srv::AuthenticationServer server;
     std::vector<std::uint64_t> ids;
-    std::vector<std::unique_ptr<proto::InMemoryChannel>> chans;
-    std::vector<std::unique_ptr<proto::ServerEndpoint>> ends;
+    std::vector<std::unique_ptr<proto::EncodingSink>> ends;
     std::vector<std::string> transcript;
     std::vector<std::optional<proto::ChallengeMsg>> lastChallenge;
     std::vector<std::optional<proto::RemapRequest>> lastRemap;
@@ -118,12 +112,9 @@ struct Harness
             ids.push_back(id);
         }
         stray = ids.size();
-        for (std::size_t s = 0; s <= ids.size(); ++s) {
-            chans.push_back(std::make_unique<proto::InMemoryChannel>());
-            ends.push_back(
-                std::make_unique<proto::ServerEndpoint>(*chans[s]));
-        }
-        transcript.resize(chans.size());
+        for (std::size_t s = 0; s <= ids.size(); ++s)
+            ends.push_back(std::make_unique<proto::EncodingSink>());
+        transcript.resize(ends.size());
         lastChallenge.resize(ids.size());
         lastRemap.resize(ids.size());
     }
@@ -146,11 +137,11 @@ hex(const std::vector<std::uint8_t> &bytes)
 void
 drainReplies(Harness &h)
 {
-    for (std::size_t s = 0; s < h.chans.size(); ++s) {
-        while (auto frame = h.chans[s]->receiveAtClient()) {
-            h.transcript[s] += hex(*frame);
+    for (std::size_t s = 0; s < h.ends.size(); ++s) {
+        for (const auto &frame : std::exchange(h.ends[s]->frames, {})) {
+            h.transcript[s] += hex(frame);
             h.transcript[s] += '\n';
-            auto msg = proto::decodeMessage(*frame);
+            auto msg = proto::decodeMessage(frame);
             if (s >= h.ids.size())
                 continue;
             if (auto *c = std::get_if<proto::ChallengeMsg>(&msg))
@@ -200,13 +191,14 @@ craftAck(const srv::DeviceRecord &rec, const proto::RemapRequest &rr,
 using Driver =
     std::function<void(Harness &, const std::vector<TestFrame> &)>;
 
-/** Per-message baseline: the path every pre-batch test exercises. */
+/** Per-message baseline: one single-frame batch per frame. */
 void
 driveSequential(Harness &h, const std::vector<TestFrame> &frames)
 {
+    util::ThreadPool pool(1);
     for (const auto &f : frames) {
-        h.chans[f.slot]->sendToServer(f.bytes);
-        h.server.pumpOnce(*h.ends[f.slot]);
+        srv::Frame frame{f.bytes, h.ends[f.slot].get()};
+        h.server.handleBatch(std::span<srv::Frame>(&frame, 1), pool);
     }
 }
 
@@ -413,252 +405,6 @@ runFlood(const Driver &drive, unsigned shards,
     return fingerprint(h, include_wire);
 }
 
-// ---------------------------------------------------------------- //
-// Fault sweep through the batch front end                          //
-// ---------------------------------------------------------------- //
-// Constants and structure mirror test_fault_sweep exactly: same
-// seeds, same canonical exchange, same outcome serialization. The
-// only degree of freedom is how the server is pumped.
-
-constexpr std::uint64_t kChipSeed = 0x5EED;
-constexpr std::uint64_t kSweepServerSeed = 777;
-constexpr std::uint64_t kDeviceId = 9;
-constexpr std::uint64_t kPlanSeed = 0xFA017;
-constexpr std::uint64_t kDelaySteps = 8;
-constexpr std::uint64_t kSessionTimeout = 40;
-constexpr std::uint64_t kMaxSteps = 400;
-constexpr std::uint64_t kBaselineFrames = 7;
-
-srv::ServerConfig
-sweepServerConfig()
-{
-    srv::ServerConfig scfg;
-    scfg.challengeBits = 32;
-    scfg.remapSecretBits = 8;
-    scfg.fuzzyRepetition = 5;
-    scfg.verifier.pIntra = 0.08;
-    scfg.sessionTimeoutSteps = kSessionTimeout;
-    return scfg;
-}
-
-struct DeviceTemplate
-{
-    core::ErrorMap map;
-    double floorMv;
-    std::vector<core::VddMv> levels;
-    core::VddMv reserved;
-};
-
-DeviceTemplate
-captureTemplate()
-{
-    auto chip = authenticache::testutil::makeTestSubstrate(kChipSeed);
-    fw::SimulatedMachine machine(kDeviceId);
-    fw::ClientConfig ccfg;
-    ccfg.selfTestAttempts = 8;
-    fw::AuthenticacheClient client(*chip, machine, ccfg);
-
-    double floor = client.boot();
-    auto levels = srv::defaultChallengeLevels(client, 1);
-    auto reserved = srv::defaultReservedLevel(client);
-    std::vector<core::VddMv> all = levels;
-    all.push_back(reserved);
-    return DeviceTemplate{client.captureErrorMap(all, 8), floor,
-                          std::move(levels), reserved};
-}
-
-struct RunOutcome
-{
-    bool quiesced = false;
-    std::uint64_t steps = 0;
-    std::string authStatus;
-    bool accepted = false;
-    std::uint64_t remapsCommitted = 0;
-    std::uint64_t agentRemapTimeouts = 0;
-    std::uint64_t retransmissions = 0;
-    std::uint64_t dupRequests = 0;
-    std::uint64_t dupCompletions = 0;
-    std::uint64_t expired = 0;
-    std::size_t pendingAfterGc = 0;
-    std::size_t consumedAuthPairs = 0;
-    std::size_t consumedReservedPairs = 0;
-    bool keysInSync = false;
-
-    std::string
-    serialize() const
-    {
-        std::ostringstream os;
-        os << "quiesced=" << quiesced << " steps=" << steps
-           << " auth=" << authStatus << " accepted=" << accepted
-           << " remaps=" << remapsCommitted
-           << " remapTimeouts=" << agentRemapTimeouts
-           << " retx=" << retransmissions
-           << " dupReq=" << dupRequests
-           << " dupDone=" << dupCompletions << " expired=" << expired
-           << " pending=" << pendingAfterGc
-           << " consumedAuth=" << consumedAuthPairs
-           << " consumedReserved=" << consumedReservedPairs
-           << " keySync=" << keysInSync;
-        return os.str();
-    }
-};
-
-std::string
-statusName(const std::optional<fw::AuthOutcome::Status> &s)
-{
-    if (!s)
-        return "InFlight";
-    switch (*s) {
-      case fw::AuthOutcome::Status::Ok: return "Ok";
-      case fw::AuthOutcome::Status::Aborted: return "Aborted";
-      case fw::AuthOutcome::Status::TimedOut: return "TimedOut";
-    }
-    return "?";
-}
-
-/**
- * Drain everything currently queued at the server into one batch.
- * @return whether any frame was serviced.
- */
-bool
-pumpServerBatch(srv::AuthenticationServer &server,
-                proto::InMemoryChannel &channel,
-                proto::ServerEndpoint &endpoint,
-                util::ThreadPool &pool)
-{
-    std::vector<srv::Frame> frames;
-    while (auto frame = channel.receiveAtServer())
-        frames.push_back(srv::Frame{std::move(*frame), &endpoint});
-    if (frames.empty())
-        return false;
-    server.handleBatch(frames, pool);
-    return true;
-}
-
-/** runExchangeSteps with the per-message pump replaced by batches. */
-srv::SteppedExchangeResult
-runExchangeStepsBatch(srv::AuthenticationServer &server,
-                      proto::ServerEndpoint &server_endpoint,
-                      srv::DeviceAgent &agent, util::SimClock &clock,
-                      proto::InMemoryChannel &channel,
-                      util::ThreadPool &pool, std::uint64_t max_steps)
-{
-    srv::SteppedExchangeResult result;
-    for (; result.steps < max_steps; ++result.steps) {
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            progress |= pumpServerBatch(server, channel,
-                                        server_endpoint, pool);
-            progress |= agent.pumpOnce();
-        }
-        if (!agent.sessionActive() && channel.idle()) {
-            result.quiesced = true;
-            return result;
-        }
-        clock.advance(1);
-        server.tick();
-        agent.tick();
-    }
-    return result;
-}
-
-/**
- * The canonical faulted exchange, pumped either per-message (pool ==
- * nullptr, the test_fault_sweep original) or through handleBatch.
- */
-RunOutcome
-runFaultedExchange(const DeviceTemplate &tmpl,
-                   const proto::FaultPlan &fault_plan,
-                   util::ThreadPool *pool)
-{
-    auto chip = authenticache::testutil::makeTestSubstrate(kChipSeed);
-    fw::SimulatedMachine machine(kDeviceId);
-    fw::ClientConfig ccfg;
-    ccfg.selfTestAttempts = 8;
-    fw::AuthenticacheClient client(*chip, machine, ccfg);
-    client.adoptFloor(tmpl.floorMv);
-
-    srv::AuthenticationServer server(sweepServerConfig(),
-                                     kSweepServerSeed);
-    server.enrollWithMap(kDeviceId, tmpl.map, client, tmpl.levels,
-                         {tmpl.reserved});
-
-    util::SimClock clock;
-    proto::InMemoryChannel channel;
-    channel.bindClock(&clock);
-    channel.setFaultPlan(fault_plan);
-    proto::ServerEndpoint server_end(channel);
-    server.bindClock(&clock);
-
-    srv::DeviceAgent agent(kDeviceId, client,
-                           proto::ClientEndpoint(channel));
-    agent.bindClock(&clock);
-
-    auto step = [&]() {
-        return pool ? runExchangeStepsBatch(server, server_end,
-                                            agent, clock, channel,
-                                            *pool, kMaxSteps)
-                    : srv::runExchangeSteps(server, server_end,
-                                            agent, clock, channel,
-                                            kMaxSteps);
-    };
-
-    RunOutcome out;
-    agent.requestAuthentication();
-    auto auth = step();
-    server.startRemap(kDeviceId, server_end);
-    auto remap = step();
-
-    out.quiesced = auth.quiesced && remap.quiesced;
-    out.steps = auth.steps + remap.steps;
-    out.authStatus = statusName(agent.lastAuthStatus());
-    out.accepted = agent.lastDecision().has_value() &&
-                   agent.lastDecision()->accepted;
-
-    clock.advance(kSessionTimeout + 1);
-    server.tick();
-    out.pendingAfterGc = server.pendingSessions();
-
-    out.remapsCommitted = server.remapsCommitted();
-    out.agentRemapTimeouts = agent.remapsTimedOut();
-    out.retransmissions = agent.retransmissions();
-    out.dupRequests = server.duplicateRequests();
-    out.dupCompletions = server.duplicateCompletions();
-    out.expired = server.sessionsExpired();
-
-    const auto &record = server.database().at(kDeviceId);
-    out.consumedAuthPairs = record.consumedCount(tmpl.levels[0]);
-    out.consumedReservedPairs = record.consumedCount(tmpl.reserved);
-    out.keysInSync = client.mapKey() == record.mapKey();
-    return out;
-}
-
-std::vector<std::pair<std::string, RunOutcome>>
-runFullSweep(const DeviceTemplate &tmpl, util::ThreadPool *pool)
-{
-    const proto::FaultType kinds[] = {
-        proto::FaultType::Drop, proto::FaultType::Duplicate,
-        proto::FaultType::Reorder, proto::FaultType::Delay,
-        proto::FaultType::Corrupt};
-    const char *kindNames[] = {"drop", "duplicate", "reorder",
-                               "delay", "corrupt"};
-
-    std::vector<std::pair<std::string, RunOutcome>> sweep;
-    for (std::size_t k = 0; k < std::size(kinds); ++k) {
-        for (std::uint64_t frame = 0; frame < kBaselineFrames;
-             ++frame) {
-            proto::FaultPlan plan(kPlanSeed);
-            plan.add({kinds[k], frame, kDelaySteps});
-            std::string label = std::string(kindNames[k]) + "@" +
-                                std::to_string(frame);
-            sweep.emplace_back(
-                label, runFaultedExchange(tmpl, plan, pool));
-        }
-    }
-    return sweep;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------- //
@@ -700,23 +446,6 @@ TEST(BatchEquivalence, ShardCountInvariantToFingerprint)
     std::string eightShards =
         runFlood(batchDriver(pool), 8, /*include_wire=*/false);
     EXPECT_EQ(oneShard, eightShards);
-}
-
-TEST(BatchEquivalence, FaultSweepThroughBatchMatchesPerMessage)
-{
-    DeviceTemplate tmpl = captureTemplate();
-    util::ThreadPool pool(3);
-
-    auto perMessage = runFullSweep(tmpl, nullptr);
-    auto batched = runFullSweep(tmpl, &pool);
-
-    ASSERT_EQ(perMessage.size(), batched.size());
-    for (std::size_t i = 0; i < perMessage.size(); ++i) {
-        SCOPED_TRACE(perMessage[i].first);
-        EXPECT_EQ(perMessage[i].first, batched[i].first);
-        EXPECT_EQ(perMessage[i].second.serialize(),
-                  batched[i].second.serialize());
-    }
 }
 
 TEST(PerShardStats, CountersSurfaceInRegistry)

@@ -13,12 +13,14 @@
 #include <gtest/gtest.h>
 
 #include "mc/mapgen.hpp"
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
 namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
 namespace core = authenticache::core;
+namespace net = authenticache::net;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
 using authenticache::util::Rng;
@@ -52,7 +54,9 @@ class SessionCap : public ::testing::Test
         server->enroll(2, *client, levels,
                        {srv::defaultReservedLevel(*client)});
 
-        server_end = std::make_unique<proto::ServerEndpoint>(channel);
+        loop = std::make_unique<net::LoopbackTransport>(
+            server->frontEnd(), net::TransportConfig{});
+        conn = loop->connect();
     }
 
     /**
@@ -71,12 +75,18 @@ class SessionCap : public ::testing::Test
         }
     }
 
+    /** Send one frame and service it as a one-frame batch. */
+    void
+    serve(const proto::Message &m)
+    {
+        conn->sendMessage(1, m);
+        loop->pump(pool);
+    }
+
     void
     requestFrom(std::uint64_t device_id)
     {
-        channel.sendToServer(
-            proto::encodeMessage(proto::AuthRequest{device_id}));
-        server->pumpOnce(*server_end);
+        serve(proto::AuthRequest{device_id});
     }
 
     std::unique_ptr<sim::SimulatedChip> chip;
@@ -84,8 +94,9 @@ class SessionCap : public ::testing::Test
     std::unique_ptr<fw::AuthenticacheClient> client;
     std::unique_ptr<srv::AuthenticationServer> server;
     std::vector<core::VddMv> levels;
-    proto::InMemoryChannel channel;
-    std::unique_ptr<proto::ServerEndpoint> server_end;
+    std::unique_ptr<net::LoopbackTransport> loop;
+    net::LoopbackTransport::Client *conn = nullptr;
+    authenticache::util::ThreadPool pool{1};
 };
 
 TEST_F(SessionCap, FloodIsBounded)
@@ -118,8 +129,7 @@ TEST_F(SessionCap, DuplicateRequestsDoNotInflatePendingState)
     // All 50 replies carry the identical challenge and nonce.
     std::optional<std::uint64_t> nonce;
     std::size_t replies = 0;
-    while (auto frame = channel.receiveAtClient()) {
-        auto msg = proto::decodeMessage(*frame);
+    for (const auto &[stream, msg] : conn->readMessages()) {
         auto *ch = std::get_if<proto::ChallengeMsg>(&msg);
         ASSERT_NE(ch, nullptr);
         if (!nonce)
@@ -136,10 +146,9 @@ TEST_F(SessionCap, EvictedChallengeRejectsLateResponse)
     // answering it later must fail with "unknown nonce".
     enrollFlooders(20);
     requestFrom(2);
-    auto first = channel.receiveAtClient();
-    ASSERT_TRUE(first.has_value());
-    auto first_msg = proto::decodeMessage(*first);
-    auto *first_ch = std::get_if<proto::ChallengeMsg>(&first_msg);
+    auto first = conn->readMessages();
+    ASSERT_EQ(first.size(), 1u);
+    auto *first_ch = std::get_if<proto::ChallengeMsg>(&first[0].second);
     ASSERT_NE(first_ch, nullptr);
 
     for (std::size_t i = 0; i < 20; ++i)
@@ -152,8 +161,7 @@ TEST_F(SessionCap, EvictedChallengeRejectsLateResponse)
     proto::ResponseMsg resp;
     resp.nonce = first_ch->nonce;
     resp.response = std::move(outcome.response);
-    channel.sendToServer(proto::encodeMessage(resp));
-    server->pumpOnce(*server_end);
+    serve(resp);
 
     // No decision was recorded for it.
     for (const auto &report : server->reports())
@@ -196,11 +204,10 @@ TEST_F(SessionCap, PromptSessionsUnaffected)
 {
     // A device that answers promptly completes normally even while
     // the cap churns.
-    srv::DeviceAgent agent(2, *client,
-                           proto::ClientEndpoint(channel));
+    srv::DeviceAgent agent(2, *client, conn->uplink(2));
     for (int round = 0; round < 12; ++round) {
         agent.requestAuthentication();
-        srv::runExchange(*server, *server_end, agent);
+        net::runExchange(*conn, agent, pool);
         ASSERT_TRUE(agent.lastDecision().has_value());
         EXPECT_TRUE(agent.lastDecision()->accepted);
     }

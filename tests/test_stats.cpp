@@ -11,7 +11,7 @@
 
 #include "firmware/client.hpp"
 #include "mc/mapgen.hpp"
-#include "protocol/channel.hpp"
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "substrate/config.hpp"
 #include "substrate/registry.hpp"
@@ -231,8 +231,8 @@ TEST(ServerTrustStats, LedgerCountersSurfaceInRegistry)
     server.enrollRecord(
         srv::DeviceRecord(1, std::move(map), {700}, {690}));
 
-    proto::InMemoryChannel channel;
-    proto::ServerEndpoint sink(channel);
+    authenticache::net::LoopbackTransport loop(server.frontEnd(), {});
+    proto::ReplySink &sink = loop.connect()->downlink(1);
     server.startHeartbeat(1, sink);
     for (int i = 0; i < 4; ++i) {
         clock.advance();

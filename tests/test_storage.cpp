@@ -12,6 +12,7 @@
 
 #include "mc/mapgen.hpp"
 #include "server/storage.hpp"
+#include "test_tmpdir.hpp"
 #include "util/crc32.hpp"
 
 namespace srv = authenticache::server;
@@ -180,12 +181,12 @@ TEST(Storage, FileRoundTrip)
     srv::EnrollmentDatabase db;
     db.enroll(sampleRecord(7, 70));
 
-    std::string path = "/tmp/authenticache_test_db.bin";
+    authenticache::testutil::TempDir dir("auth_storage_rt");
+    std::string path = dir.str() + "/db.bin";
     srv::saveDatabaseFile(db, path);
     auto restored = srv::loadDatabaseFile(path);
     EXPECT_TRUE(restored.contains(7));
     EXPECT_EQ(restored.at(7).physicalMap(), db.at(7).physicalMap());
-    std::remove(path.c_str());
 
     EXPECT_THROW(srv::loadDatabaseFile("/nonexistent/nope.bin"),
                  std::runtime_error);
@@ -255,7 +256,8 @@ TEST(Storage, AtomicSaveSurvivesCrashMidWrite)
     new_db.enroll(sampleRecord(1, 10));
     new_db.enroll(sampleRecord(2, 20));
 
-    std::string path = "/tmp/authenticache_test_atomic.bin";
+    authenticache::testutil::TempDir dir("auth_storage_atomic");
+    std::string path = dir.str() + "/db.bin";
     srv::saveDatabaseFile(old_db, path);
     auto old_bytes = srv::saveDatabase(old_db);
 
@@ -283,6 +285,4 @@ TEST(Storage, AtomicSaveSurvivesCrashMidWrite)
                     loaded == srv::saveDatabase(new_db))
             << "torn snapshot at opportunity " << t;
     }
-    std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
 }

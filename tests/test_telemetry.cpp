@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 #include "util/stats_registry.hpp"
@@ -16,6 +17,7 @@ namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
 namespace core = authenticache::core;
 namespace proto = authenticache::protocol;
+namespace net = authenticache::net;
 namespace srv = authenticache::server;
 namespace u = authenticache::util;
 using authenticache::util::Rng;
@@ -71,12 +73,11 @@ TEST(Telemetry, CollectorsCaptureSystemActivity)
     server.enroll(3, client, levels,
                   {srv::defaultReservedLevel(client)});
 
-    proto::InMemoryChannel channel;
-    proto::ServerEndpoint server_end(channel);
-    srv::DeviceAgent agent(3, client,
-                           proto::ClientEndpoint(channel));
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    srv::DeviceAgent agent(3, client, conn.uplink(3));
     agent.requestAuthentication();
-    srv::runExchange(server, server_end, agent);
+    net::runExchange(conn, agent);
     ASSERT_TRUE(agent.lastDecision().has_value());
 
     u::StatsRegistry reg;

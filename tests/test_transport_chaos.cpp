@@ -1,7 +1,7 @@
 /**
  * @file
  * Chaos suite for the real-socket transport: the fault classes the
- * in-memory channel injects via FaultPlan (drop, duplicate, corrupt,
+ * loopback transport injects via FaultPlan (drop, duplicate, corrupt,
  * delay), recreated at the socket layer against a live EpollTransport,
  * plus the failure shapes only a real wire has -- mid-frame
  * disconnects, half-open peers, slow-loris single-byte writers, and
@@ -187,9 +187,11 @@ TEST(TransportChaos, CorruptFrameKillsOnlyItsConnection)
     ASSERT_TRUE(honest.connectTo(rig.transport.port()));
     rig.pumpFor(5);
 
-    // FaultPlan's Corrupt, at the socket layer: one flipped payload
-    // byte. The wire CRC convicts the frame; the transport treats it
-    // as connection-fatal.
+    // Corruption at the socket layer: one flipped payload byte under
+    // the outer CRC. The wire CRC convicts the frame; the transport
+    // treats it as connection-fatal. (The loopback's FaultPlan Corrupt
+    // re-frames the damaged message instead, so the message's own CRC
+    // catches it and the connection survives.)
     auto frame = net::encodeWireMessage(
         kFirstId, proto::Message{proto::AuthRequest{kFirstId}});
     frame[net::kWireHeaderBytes + 2] ^= 0x10;
@@ -278,7 +280,7 @@ TEST(TransportChaos, HalfOpenConnectionIsGcdNotServed)
     // A peer that opens a session and vanishes without closing (half
     // open: no FIN, no RST, no bytes). The connection itself can
     // linger, but the *session* must not: GC reclaims it at the
-    // timeout, exactly as over the in-memory channel.
+    // timeout, exactly as over the loopback transport.
     Rig rig(1);
     net::SocketClient client;
     ASSERT_TRUE(client.connectTo(rig.transport.port()));

@@ -1,7 +1,6 @@
 /**
  * @file
- * Overload and shed determinism over the loopback transport, plus the
- * bounded-queue semantics of the in-memory channel.
+ * Overload and shed determinism over the loopback transport.
  *
  * The transport's degradation contract is that overload behavior is a
  * *policy*, not an accident of timing: which requests are admitted,
@@ -13,11 +12,6 @@
  * global in-flight budget and compares full transcripts -- every
  * reply byte every client saw, plus the serialized counters --
  * between seeded runs at 1 and 8 worker threads.
- *
- * The channel suite pins the InMemoryChannel's bounded queues: caps
- * are enforced per direction, delay-held frames own their slot, and
- * overflow is counted, so loopback simulations exhibit the same
- * finite-buffer behavior as a real connection.
  */
 
 #include <cstdint>
@@ -31,7 +25,6 @@
 #include "mc/mapgen.hpp"
 #include "net/loopback.hpp"
 #include "server/server.hpp"
-#include "util/sim_clock.hpp"
 #include "util/stats_registry.hpp"
 
 namespace net = authenticache::net;
@@ -397,94 +390,4 @@ TEST(TransportShed, ContinuationReserveProtectsInProgressWork)
     EXPECT_EQ(core.counters().accepted, 8u);
     EXPECT_EQ(core.counters().shed, 8u);
     EXPECT_EQ(core.globalQueued(), 8u);
-}
-
-// ---------------------------------------------------------------- //
-// InMemoryChannel bounded queues                                   //
-// ---------------------------------------------------------------- //
-
-TEST(ChannelBoundedQueue, CapEnforcedPerDirection)
-{
-    proto::InMemoryChannel chan;
-    EXPECT_EQ(chan.queueCapacity(),
-              proto::InMemoryChannel::kDefaultQueueCap);
-    chan.setQueueCap(3);
-
-    for (int i = 0; i < 5; ++i)
-        chan.sendToServer({std::uint8_t(i)});
-    EXPECT_EQ(chan.faultCounters().overflows, 2u);
-
-    // The other direction has its own budget.
-    for (int i = 0; i < 3; ++i)
-        chan.sendToClient({std::uint8_t(0x80 + i)});
-    EXPECT_EQ(chan.faultCounters().overflows, 2u);
-
-    // FIFO order among the survivors; the overflowed frames are the
-    // *newest*, mirroring a full connection queue refusing new reads.
-    for (int i = 0; i < 3; ++i) {
-        auto f = chan.receiveAtServer();
-        ASSERT_TRUE(f.has_value());
-        EXPECT_EQ((*f)[0], i);
-    }
-    EXPECT_FALSE(chan.receiveAtServer().has_value());
-
-    // Space freed: sends are accepted again.
-    chan.sendToServer({9});
-    EXPECT_EQ(chan.faultCounters().overflows, 2u);
-    EXPECT_TRUE(chan.receiveAtServer().has_value());
-}
-
-TEST(ChannelBoundedQueue, DelayHeldFramesOwnTheirSlot)
-{
-    util::SimClock clock;
-    proto::InMemoryChannel chan;
-    chan.bindClock(&clock);
-    chan.setQueueCap(1);
-    proto::FaultPlan plan(0x11);
-    plan.add({proto::FaultType::Delay, 0, 2});
-    chan.setFaultPlan(plan);
-
-    chan.sendToServer({1}); // Held for 2 steps; owns the only slot.
-    EXPECT_EQ(chan.faultCounters().delays, 1u);
-    chan.sendToServer({2}); // Queue "full" via the held frame.
-    EXPECT_EQ(chan.faultCounters().overflows, 1u);
-    EXPECT_FALSE(chan.receiveAtServer().has_value());
-
-    // Release never drops: the held frame had its slot reserved.
-    clock.advance(2);
-    auto f = chan.receiveAtServer();
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ((*f)[0], 1);
-    EXPECT_EQ(chan.faultCounters().overflows, 1u);
-}
-
-TEST(ChannelBoundedQueue, ZeroCapMeansUnbounded)
-{
-    proto::InMemoryChannel chan;
-    chan.setQueueCap(0);
-    for (int i = 0; i < 10000; ++i)
-        chan.sendToServer({std::uint8_t(i & 0xFF)});
-    EXPECT_EQ(chan.faultCounters().overflows, 0u);
-    std::size_t n = 0;
-    while (chan.receiveAtServer())
-        ++n;
-    EXPECT_EQ(n, 10000u);
-}
-
-TEST(ChannelBoundedQueue, DuplicateFaultRespectsCap)
-{
-    proto::InMemoryChannel chan;
-    chan.setQueueCap(1);
-    proto::FaultPlan plan(0x11);
-    plan.add({proto::FaultType::Duplicate, 0, 0});
-    chan.setFaultPlan(plan);
-
-    // The duplicate's second copy finds the queue full and overflows.
-    chan.sendToServer({7});
-    EXPECT_EQ(chan.faultCounters().duplicates, 1u);
-    EXPECT_EQ(chan.faultCounters().overflows, 1u);
-    std::size_t n = 0;
-    while (chan.receiveAtServer())
-        ++n;
-    EXPECT_EQ(n, 1u);
 }

@@ -59,6 +59,7 @@
 
 #include "firmware/keygen.hpp"
 #include "server/durability.hpp"
+#include "net/loopback.hpp"
 #include "server/server.hpp"
 #include "server/storage.hpp"
 #include "sim/drift.hpp"
@@ -275,15 +276,14 @@ cmdAuth(const Args &args)
     Device device(id, platform);
     device.client.setMapKey(server.database().at(id).mapKey());
 
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(id, device.client,
-                              protocol::ClientEndpoint(channel));
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    server::DeviceAgent agent(id, device.client, conn.uplink(id));
 
     util::Table table({"round", "decision", "hamming_distance"});
     for (std::uint64_t round = 1; round <= rounds; ++round) {
         agent.requestAuthentication();
-        server::runExchange(server, server_end, agent);
+        net::runExchange(conn, agent);
         const auto &d = agent.lastDecision();
         table.row()
             .cell(round)
@@ -416,10 +416,9 @@ cmdHeartbeat(const Args &args)
     util::SimClock clock;
     server.bindClock(&clock);
 
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(id, device.client,
-                              protocol::ClientEndpoint(channel));
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    server::DeviceAgent agent(id, device.client, conn.uplink(id));
     agent.bindClock(&clock);
 
     // --drift: a deterministic excursion peaking halfway through the
@@ -436,7 +435,8 @@ cmdHeartbeat(const Args &args)
         drift->apply(clock.now());
     }
 
-    server.startHeartbeat(id, server_end);
+    protocol::ReplySink &push = conn.downlink(id);
+    server.startHeartbeat(id, push);
 
     util::Table table(
         {"step", "trust", "tier", "round", "hamming_distance"});
@@ -444,11 +444,7 @@ cmdHeartbeat(const Args &args)
     std::optional<std::uint8_t> seen_tier;
     std::uint64_t seen_rounds = 0;
     for (std::uint64_t s = 0; s < steps; ++s) {
-        bool progress = true;
-        while (progress) {
-            progress = server.pumpOnce(server_end);
-            progress |= agent.pumpOnce();
-        }
+        net::runExchange(conn, agent);
         if (agent.lastTrust() != seen_trust ||
             agent.lastTier() != seen_tier ||
             agent.heartbeatsAnswered() != seen_rounds) {
@@ -471,7 +467,7 @@ cmdHeartbeat(const Args &args)
         clock.advance(1);
         if (drift)
             drift->apply(clock.now());
-        server.tickHeartbeats(server_end);
+        server.tickHeartbeats(push);
         server.tick();
         agent.tick();
     }
@@ -562,12 +558,11 @@ cmdImposter(const Args &args)
     Device imposter(die, platform);
     imposter.client.setMapKey(server.database().at(id).mapKey());
 
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(id, imposter.client,
-                              protocol::ClientEndpoint(channel));
+    net::LoopbackTransport loop(server.frontEnd(), {});
+    net::LoopbackTransport::Client &conn = *loop.connect();
+    server::DeviceAgent agent(id, imposter.client, conn.uplink(id));
     agent.requestAuthentication();
-    server::runExchange(server, server_end, agent);
+    net::runExchange(conn, agent);
 
     if (agent.lastDecision()) {
         std::cout << "imposter die " << die << " presenting device "
