@@ -6,11 +6,16 @@
 #ifndef AUTH_BENCH_COMMON_HPP
 #define AUTH_BENCH_COMMON_HPP
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
+#include "bench_json.hpp"
+#include "util/simd.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -85,6 +90,73 @@ banner(const std::string &title, const std::string &paper_reference)
     if (quickMode())
         std::cout << "(quick mode: reduced Monte Carlo sizes)\n";
     std::cout << "\n";
+}
+
+using Clock = std::chrono::steady_clock;
+
+inline double
+nsSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
+        .count();
+}
+
+/** The @p p quantile (nearest rank below); sorts @p samples. */
+inline double
+percentile(std::vector<double> &samples, double p)
+{
+    if (samples.empty())
+        return 0.0;
+    std::sort(samples.begin(), samples.end());
+    std::size_t i = static_cast<std::size_t>(
+        p * static_cast<double>(samples.size() - 1));
+    return samples[i];
+}
+
+/** One BENCH_*.json benchmark row: throughput plus latency. */
+struct Series
+{
+    std::string name;
+    std::string simd;
+    double opsPerS = 0.0;
+    double p50Ns = 0.0;
+    double p99Ns = 0.0;
+    std::uint64_t ops = 0;
+    /** Per-repeat ops/s; written only when a series is repeated. */
+    std::vector<double> repeatOpsPerS;
+};
+
+inline void
+writeSeries(Json &j, const Series &s)
+{
+    j.openObject();
+    j.field("name", s.name);
+    j.field("simd", s.simd);
+    j.field("ops", s.ops);
+    j.field("ops_per_s", s.opsPerS);
+    j.field("p50_ns", s.p50Ns);
+    j.field("p99_ns", s.p99Ns);
+    if (!s.repeatOpsPerS.empty())
+        j.field("repeat_ops_per_s", s.repeatOpsPerS);
+    j.closeObject();
+}
+
+/**
+ * The header every bench_runner / bench_transport_load file opens
+ * with: schema, run mode, SIMD detection and dispatch, and the
+ * hardware thread count absolute numbers were measured on.
+ */
+inline void
+writeCommonHeader(Json &j, const char *schema, bool quick)
+{
+    namespace util = authenticache::util;
+    j.field("schema", schema);
+    j.field("quick", quick);
+    j.field("detected_simd",
+            util::simdLevelName(util::detectedSimdLevel()));
+    j.field("dispatch_simd", util::simdLevelName(util::simdLevel()));
+    j.field("hardware_threads",
+            util::ThreadPool::defaultThreadCount());
 }
 
 } // namespace authbench

@@ -342,96 +342,6 @@ runFixedDevice(std::size_t idx, const SweepParams &p,
     return out;
 }
 
-/** Minimal JSON writer (fixed field order, no external deps). */
-class Json
-{
-  public:
-    explicit Json(std::ostream &os_) : os(os_) { os.precision(12); }
-
-    void
-    open()
-    {
-        os << "{";
-        firsts.push_back(true);
-    }
-    void
-    close()
-    {
-        firsts.pop_back();
-        os << "\n}\n";
-    }
-    void
-    field(const std::string &key, const std::string &value)
-    {
-        pre();
-        os << '"' << key << "\": \"" << value << '"';
-    }
-    void
-    field(const std::string &key, double value)
-    {
-        pre();
-        os << '"' << key << "\": " << value;
-    }
-    void
-    field(const std::string &key, std::uint64_t value)
-    {
-        pre();
-        os << '"' << key << "\": " << value;
-    }
-    void
-    field(const std::string &key, bool value)
-    {
-        pre();
-        os << '"' << key << "\": " << (value ? "true" : "false");
-    }
-    void
-    openArray(const std::string &key)
-    {
-        pre();
-        os << '"' << key << "\": [";
-        firsts.push_back(true);
-    }
-    void
-    closeArray()
-    {
-        firsts.pop_back();
-        os << "\n" << indent() << "  ]";
-    }
-    void
-    openObject(const std::string &key = "")
-    {
-        pre();
-        if (!key.empty())
-            os << '"' << key << "\": ";
-        os << "{";
-        firsts.push_back(true);
-    }
-    void
-    closeObject()
-    {
-        firsts.pop_back();
-        os << "\n" << indent() << "  }";
-    }
-
-  private:
-    void
-    pre()
-    {
-        if (!firsts.back())
-            os << ",";
-        firsts.back() = false;
-        os << "\n" << indent() << "  ";
-    }
-    std::string
-    indent() const
-    {
-        return std::string(2 * (firsts.size() - 1), ' ');
-    }
-
-    std::ostream &os;
-    std::vector<bool> firsts;
-};
-
 } // namespace
 
 int
@@ -566,13 +476,12 @@ main(int argc, char **argv)
         std::cerr << "FAIL: cannot write " << path << "\n";
         return 2;
     }
-    Json j(os);
+    authbench::Json j(os);
     j.open();
-    j.field("schema", std::string("heartbeat-drift-v1"));
+    j.field("schema", "heartbeat-drift-v1");
     j.field("quick", smoke);
     j.field("detected_simd",
-            std::string(
-                util::simdLevelName(util::detectedSimdLevel())));
+            util::simdLevelName(util::detectedSimdLevel()));
     j.field("substrate", platformName());
     j.openObject("sweep");
     j.field("devices", std::uint64_t(p.devices));
@@ -585,15 +494,15 @@ main(int argc, char **argv)
     j.closeObject();
     j.openArray("benchmarks");
     j.openObject();
-    j.field("name", std::string("heartbeat_drift_sweep"));
-    j.field("simd", std::string("scalar"));
+    j.field("name", "heartbeat_drift_sweep");
+    j.field("simd", "scalar");
     j.field("ops", hb_rounds);
     j.field("ops_per_s",
             base_s > 0 ? double(hb_rounds) / base_s : 0.0);
     j.closeObject();
     j.openObject();
-    j.field("name", std::string("fixed_lockout_baseline"));
-    j.field("simd", std::string("scalar"));
+    j.field("name", "fixed_lockout_baseline");
+    j.field("simd", "scalar");
     j.field("ops", fx_attempts);
     j.field("ops_per_s",
             fixed_s > 0 ? double(fx_attempts) / fixed_s : 0.0);

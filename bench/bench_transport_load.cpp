@@ -37,7 +37,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -58,126 +57,13 @@
 #include "net/socket_client.hpp"
 #include "server/server.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 using namespace authenticache;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double
-nsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
-        .count();
-}
-
-double
-percentile(std::vector<double> &samples, double p)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    std::size_t i = static_cast<std::size_t>(
-        p * static_cast<double>(samples.size() - 1));
-    return samples[i];
-}
-
-/** Minimal JSON writer (fixed field order, no external deps). */
-class Json
-{
-  public:
-    explicit Json(std::ostream &os_) : os(os_)
-    {
-        os.precision(12);
-    }
-
-    void
-    open()
-    {
-        os << "{";
-        firsts.push_back(true);
-    }
-    void
-    close()
-    {
-        firsts.pop_back();
-        os << "\n}\n";
-    }
-
-    void
-    field(const std::string &key, const std::string &value)
-    {
-        pre();
-        os << '"' << key << "\": \"" << value << '"';
-    }
-    void
-    field(const std::string &key, double value)
-    {
-        pre();
-        os << '"' << key << "\": " << value;
-    }
-    void
-    field(const std::string &key, std::uint64_t value)
-    {
-        pre();
-        os << '"' << key << "\": " << value;
-    }
-    void
-    field(const std::string &key, bool value)
-    {
-        pre();
-        os << '"' << key << "\": " << (value ? "true" : "false");
-    }
-
-    void
-    openArray(const std::string &key)
-    {
-        pre();
-        os << '"' << key << "\": [";
-        firsts.push_back(true);
-    }
-    void
-    closeArray()
-    {
-        firsts.pop_back();
-        os << "\n" << indent() << "  ]";
-    }
-    void
-    openObject(const std::string &key = "")
-    {
-        pre();
-        if (!key.empty())
-            os << '"' << key << "\": ";
-        os << "{";
-        firsts.push_back(true);
-    }
-    void
-    closeObject()
-    {
-        firsts.pop_back();
-        os << "\n" << indent() << "  }";
-    }
-
-  private:
-    void
-    pre()
-    {
-        if (!firsts.back())
-            os << ",";
-        firsts.back() = false;
-        os << "\n" << indent() << "  ";
-    }
-    std::string
-    indent() const
-    {
-        return std::string(2 * (firsts.size() - 1), ' ');
-    }
-
-    std::ostream &os;
-    std::vector<bool> firsts; ///< "next element is first" per depth.
-};
+using authbench::Clock;
+using authbench::nsSince;
 
 // ---------------------------------------------------------------
 // Load generator.
@@ -432,8 +318,8 @@ runSweep(server::AuthenticationServer &server,
                                       s.latenciesNs.end());
     }
     out.counters = transport.counters();
-    out.p50Ns = percentile(out.merged.latenciesNs, 0.50);
-    out.p99Ns = percentile(out.merged.latenciesNs, 0.99);
+    out.p50Ns = authbench::percentile(out.merged.latenciesNs, 0.50);
+    out.p99Ns = authbench::percentile(out.merged.latenciesNs, 0.99);
     return out;
 }
 
@@ -451,17 +337,10 @@ writeTransport(const std::string &path, const LoadParams &p,
                bool quick)
 {
     std::ofstream f(path);
-    Json j(f);
+    authbench::Json j(f);
     j.open();
-    j.field("schema", "authenticache-bench-transport-v1");
-    j.field("quick", quick);
-    j.field("detected_simd",
-            std::string(
-                util::simdLevelName(util::detectedSimdLevel())));
-    j.field("dispatch_simd",
-            std::string(util::simdLevelName(util::simdLevel())));
-    j.field("hardware_threads",
-            std::uint64_t(util::ThreadPool::defaultThreadCount()));
+    authbench::writeCommonHeader(j, "authenticache-bench-transport-v1",
+                                 quick);
     j.openObject("load");
     j.field("devices", std::uint64_t(p.devices));
     j.field("connections", std::uint64_t(p.conns));
@@ -472,14 +351,14 @@ writeTransport(const std::string &path, const LoadParams &p,
     j.openArray("benchmarks");
     for (std::size_t i = 0; i < sweeps.size(); ++i) {
         const SweepOutcome &s = sweeps[i];
-        j.openObject();
-        j.field("name", "transport_auth_e2e");
-        j.field("simd", kWindowLabels[i]);
-        j.field("ops", s.merged.accepted);
-        j.field("ops_per_s", s.goodputPerS());
-        j.field("p50_ns", s.p50Ns);
-        j.field("p99_ns", s.p99Ns);
-        j.closeObject();
+        authbench::writeSeries(
+            j, {.name = "transport_auth_e2e",
+                .simd = kWindowLabels[i],
+                .opsPerS = s.goodputPerS(),
+                .p50Ns = s.p50Ns,
+                .p99Ns = s.p99Ns,
+                .ops = s.merged.accepted,
+                .repeatOpsPerS = {}});
     }
     j.closeArray();
     j.openArray("load_curve");

@@ -16,7 +16,7 @@ Two modes:
 
   --ratios-only
       Only the "derived" ratios (SIMD speedup over scalar, durable
-      overhead, thread scaling) and the baseline's "floors" are
+      retention, thread scaling) and the baseline's "floors" are
       enforced. Ratios divide out the host's absolute speed, so this
       is the mode CI uses on anonymous runners.
 
@@ -26,6 +26,16 @@ scan must stay >= 2x over scalar) -- unless the current run detected
 a CPU without the wide instruction set (floors assume the baseline's
 detected_simd is available).
 
+Every derived ratio is higher-is-better. A speedup the baseline
+itself recorded at <= 1x is not held (the host had no headroom);
+a *_retention ratio (a share of a reference rate, <= 1 by nature,
+e.g. durable_retention = durable / plain ops/s) is always held.
+
+A malformed file exits 2 before any comparison: a non-string
+"schema", a series whose "name" or "simd" is not a string, a
+(name, simd) key that appears twice, or a "derived" or "floors"
+value that is not a finite number.
+
 Usage:
   tools/bench_compare.py BASELINE CURRENT [BASELINE2 CURRENT2 ...]
       [--threshold 0.10] [--ratios-only]
@@ -33,6 +43,7 @@ Usage:
 
 import argparse
 import json
+import math
 import sys
 
 # Derived ratios below this are treated as "width unavailable on this
@@ -41,14 +52,49 @@ import sys
 _SAME_WIDTH = 1.001
 
 
+def malformations(doc):
+    """Every reason @p doc cannot be gated, as readable strings."""
+    if not isinstance(doc, dict):
+        return ["top level is not an object"]
+    errors = []
+    if not isinstance(doc.get("schema"), str):
+        errors.append(f"schema {doc.get('schema')!r} is not a string")
+    seen = set()
+    for s in doc.get("benchmarks", []):
+        key = (s.get("name"), s.get("simd")) if isinstance(s, dict) \
+            else (None, None)
+        if not all(isinstance(k, str) for k in key):
+            errors.append(f"series name/simd {key!r} are not strings")
+            continue
+        if key in seen:
+            errors.append(f"series {key[0]} [{key[1]}] appears twice")
+        seen.add(key)
+    for block in ("derived", "floors"):
+        for name, v in doc.get(block, {}).items():
+            # bool is an int subclass; true is not a ratio.
+            if (isinstance(v, bool) or
+                    not isinstance(v, (int, float)) or
+                    not math.isfinite(v)):
+                errors.append(
+                    f"{block} {name} = {v!r} is not a finite number")
+    return errors
+
+
 def load(path):
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"bench_compare: cannot read {path}: {e}",
               file=sys.stderr)
         sys.exit(2)
+    errors = malformations(doc)
+    for e in errors:
+        print(f"bench_compare: malformed {path}: {e}",
+              file=sys.stderr)
+    if errors:
+        sys.exit(2)
+    return doc
 
 
 def series_map(doc):
@@ -114,9 +160,10 @@ def compare_pair(baseline_path, current_path, threshold,
         if cval is None:
             failures.append(f"derived {name}: missing from current")
             continue
-        if bval <= _SAME_WIDTH:
+        retention = name.endswith("_retention")
+        if bval <= _SAME_WIDTH and not retention:
             continue  # Baseline itself saw no headroom; nothing to hold.
-        if not same_width and cval <= _SAME_WIDTH:
+        if not same_width and cval <= _SAME_WIDTH and not retention:
             notes.append(
                 f"note: derived {name} skipped (current host lacks "
                 f"{base.get('detected_simd')})")
