@@ -18,45 +18,63 @@ wireErrorName(WireError e)
     return "?";
 }
 
+namespace {
+
+/**
+ * One wire frame in one buffer: the header with a length placeholder,
+ * the payload @p put appends, then the length patched in place and
+ * the CRC over everything after the magic (streamId, length,
+ * payload), so encoder and decoder agree byte-for-byte on the covered
+ * range.
+ */
+template <typename Put>
+std::vector<std::uint8_t>
+buildWireFrame(std::uint64_t stream, std::size_t payload_size, Put put)
+{
+    protocol::ByteWriter w;
+    w.reserve(kWireHeaderBytes + payload_size + kWireTrailerBytes);
+    w.putU32(kWireMagic);
+    w.putU64(stream);
+    w.putU32(0);
+    put(w);
+    w.patchU32(12, static_cast<std::uint32_t>(w.size() -
+                                              kWireHeaderBytes));
+    w.putU32(util::crc32(
+        std::span<const std::uint8_t>(w.bytes()).subspan(4)));
+    return w.take();
+}
+
+} // namespace
+
 std::vector<std::uint8_t>
 encodeWireFrame(std::uint64_t stream,
                 std::span<const std::uint8_t> payload)
 {
-    protocol::ByteWriter w;
-    w.putU32(kWireMagic);
-    w.putU64(stream);
-    w.putU32(static_cast<std::uint32_t>(payload.size()));
-    w.putBytes(payload);
-    // The CRC covers everything after the magic: streamId, length,
-    // payload. Recompute over the written bytes so encoder and
-    // decoder agree byte-for-byte on the covered range.
-    std::span<const std::uint8_t> covered(w.bytes().data() + 4,
-                                          w.bytes().size() - 4);
-    w.putU32(util::crc32(covered));
-    return w.take();
+    return buildWireFrame(stream, payload.size(),
+                          [&](protocol::ByteWriter &w) {
+                              w.putBytes(payload);
+                          });
 }
 
 std::vector<std::uint8_t>
 encodeWireMessage(std::uint64_t stream, const protocol::Message &m)
 {
-    return encodeWireFrame(stream, protocol::encodeMessage(m));
+    return buildWireFrame(stream, protocol::encodedSize(m),
+                          [&](protocol::ByteWriter &w) {
+                              protocol::encodeMessageInto(w, m);
+                          });
 }
 
 std::uint32_t
 WireDecoder::peekU32(std::size_t off) const
 {
-    const std::uint8_t *p = buf.data() + head + off;
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
+    return protocol::loadLE<std::uint32_t>(buf.data() + head + off);
 }
 
 std::uint64_t
 WireDecoder::peekU64(std::size_t off) const
 {
-    return static_cast<std::uint64_t>(peekU32(off)) |
-           static_cast<std::uint64_t>(peekU32(off + 4)) << 32;
+    return protocol::loadLE<std::uint64_t>(buf.data() + head + off);
 }
 
 void

@@ -84,7 +84,10 @@ std::vector<std::uint8_t>
 encodeWireFrame(std::uint64_t stream,
                 std::span<const std::uint8_t> payload);
 
-/** Convenience: encode @p m with protocol::encodeMessage and frame it. */
+/**
+ * encodeWireFrame(stream, protocol::encodeMessage(m)), with the
+ * message encoded straight into the frame's one buffer.
+ */
 std::vector<std::uint8_t> encodeWireMessage(std::uint64_t stream,
                                             const protocol::Message &m);
 

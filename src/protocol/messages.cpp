@@ -6,17 +6,26 @@
 
 namespace authenticache::protocol {
 
+namespace {
+
+/** Six u32 fields per challenge bit: (set, way, vdd) for A then B. */
+constexpr std::size_t kChallengeBitBytes = 6 * 4;
+
+} // namespace
+
 void
 encodeChallenge(ByteWriter &w, const core::Challenge &c)
 {
     w.putU32(static_cast<std::uint32_t>(c.size()));
+    std::uint8_t *p = w.extend(c.size() * kChallengeBitBytes);
     for (const auto &bit : c.bits) {
-        w.putU32(bit.a.line.set);
-        w.putU32(bit.a.line.way);
-        w.putU32(bit.a.vddMv);
-        w.putU32(bit.b.line.set);
-        w.putU32(bit.b.line.way);
-        w.putU32(bit.b.vddMv);
+        storeLE<std::uint32_t>(p, bit.a.line.set);
+        storeLE<std::uint32_t>(p + 4, bit.a.line.way);
+        storeLE<std::uint32_t>(p + 8, bit.a.vddMv);
+        storeLE<std::uint32_t>(p + 12, bit.b.line.set);
+        storeLE<std::uint32_t>(p + 16, bit.b.line.way);
+        storeLE<std::uint32_t>(p + 20, bit.b.vddMv);
+        p += kChallengeBitBytes;
     }
 }
 
@@ -27,16 +36,16 @@ decodeChallenge(ByteReader &r)
     std::uint32_t n = r.getU32();
     if (n > 1u << 20)
         throw DecodeError("challenge unreasonably large");
-    c.bits.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        core::ChallengeBit bit;
-        bit.a.line.set = r.getU32();
-        bit.a.line.way = r.getU32();
-        bit.a.vddMv = r.getU32();
-        bit.b.line.set = r.getU32();
-        bit.b.line.way = r.getU32();
-        bit.b.vddMv = r.getU32();
-        c.bits.push_back(bit);
+    const std::uint8_t *p = r.consume(n * kChallengeBitBytes);
+    c.bits.resize(n);
+    for (auto &bit : c.bits) {
+        bit.a.line.set = loadLE<std::uint32_t>(p);
+        bit.a.line.way = loadLE<std::uint32_t>(p + 4);
+        bit.a.vddMv = loadLE<std::uint32_t>(p + 8);
+        bit.b.line.set = loadLE<std::uint32_t>(p + 12);
+        bit.b.line.way = loadLE<std::uint32_t>(p + 16);
+        bit.b.vddMv = loadLE<std::uint32_t>(p + 20);
+        p += kChallengeBitBytes;
     }
     return c;
 }
@@ -45,8 +54,12 @@ void
 encodeBitVec(ByteWriter &w, const util::BitVec &v)
 {
     w.putU64(v.size());
-    for (auto word : v.words())
-        w.putU64(word);
+    const auto &words = v.words();
+    std::uint8_t *p = w.extend(words.size() * 8);
+    for (auto word : words) {
+        storeLE<std::uint64_t>(p, word);
+        p += 8;
+    }
 }
 
 util::BitVec
@@ -56,10 +69,12 @@ decodeBitVec(ByteReader &r)
     if (nbits > 1u << 24)
         throw DecodeError("bit vector unreasonably large");
     std::size_t nwords = (nbits + 63) / 64;
-    std::vector<std::uint64_t> words;
-    words.reserve(nwords);
-    for (std::size_t i = 0; i < nwords; ++i)
-        words.push_back(r.getU64());
+    const std::uint8_t *p = r.consume(nwords * 8);
+    std::vector<std::uint64_t> words(nwords);
+    for (auto &word : words) {
+        word = loadLE<std::uint64_t>(p);
+        p += 8;
+    }
     return util::BitVec::fromWords(std::move(words), nbits);
 }
 
@@ -204,8 +219,8 @@ decodePayload(MessageType type, ByteReader &r)
         RemapAck m;
         m.nonce = r.getU64();
         m.success = r.getU8() != 0;
-        auto bytes = r.getBytes(m.confirmation.size());
-        std::copy(bytes.begin(), bytes.end(),
+        const std::uint8_t *p = r.consume(m.confirmation.size());
+        std::copy(p, p + m.confirmation.size(),
                   m.confirmation.begin());
         return m;
       }
@@ -254,18 +269,69 @@ decodePayload(MessageType type, ByteReader &r)
 
 } // namespace
 
+std::size_t
+encodedSize(const Message &m)
+{
+    auto challenge = [](const core::Challenge &c) {
+        return 4 + c.size() * kChallengeBitBytes;
+    };
+    auto bitvec = [](const util::BitVec &v) {
+        return 8 + v.words().size() * 8;
+    };
+    const std::size_t payload = std::visit(
+        [&](const auto &v) -> std::size_t {
+            using T = std::decay_t<decltype(v)>;
+            if constexpr (std::is_same_v<T, AuthRequest>)
+                return 8;
+            else if constexpr (std::is_same_v<T, ChallengeMsg>)
+                return 8 + challenge(v.challenge);
+            else if constexpr (std::is_same_v<T, ResponseMsg> ||
+                               std::is_same_v<T, HeartbeatProof>)
+                return 8 + bitvec(v.response);
+            else if constexpr (std::is_same_v<T, AuthDecision>)
+                return 8 + 1 + 4;
+            else if constexpr (std::is_same_v<T, RemapRequest>)
+                return 8 + challenge(v.challenge) + bitvec(v.helper) + 4;
+            else if constexpr (std::is_same_v<T, RemapAck>)
+                return 8 + 1 + v.confirmation.size();
+            else if constexpr (std::is_same_v<T, RemapCommit>)
+                return 8 + 1;
+            else if constexpr (std::is_same_v<T, Heartbeat>)
+                return 8 + 8 + challenge(v.challenge);
+            else if constexpr (std::is_same_v<T, TrustUpdate>)
+                return 8 + 4 + 1 + 1 + 4;
+            else if constexpr (std::is_same_v<T, Revoke>)
+                return 8 + 4 + v.reason.size();
+            else
+                return 4 + v.reason.size();
+        },
+        m);
+    return 4 + 1 + payload + 4;
+}
+
+void
+encodeMessageInto(ByteWriter &w, const Message &m)
+{
+    // One pass: a length placeholder, then type and payload, then the
+    // length patched in place and the CRC over what was just written.
+    const std::size_t start = w.size();
+    w.putU32(0);
+    w.putU8(static_cast<std::uint8_t>(messageType(m)));
+    encodePayload(w, m);
+    const std::size_t len = w.size() - start - 4;
+    w.patchU32(start, static_cast<std::uint32_t>(len));
+    w.putU32(util::crc32(
+        std::span<const std::uint8_t>(w.bytes()).subspan(start + 4,
+                                                         len)));
+}
+
 std::vector<std::uint8_t>
 encodeMessage(const Message &m)
 {
-    ByteWriter payload;
-    payload.putU8(static_cast<std::uint8_t>(messageType(m)));
-    encodePayload(payload, m);
-
-    ByteWriter frame;
-    frame.putU32(static_cast<std::uint32_t>(payload.size()));
-    frame.putBytes(payload.bytes());
-    frame.putU32(util::crc32(payload.bytes()));
-    return frame.take();
+    ByteWriter w;
+    w.reserve(encodedSize(m));
+    encodeMessageInto(w, m);
+    return w.take();
 }
 
 Message
@@ -273,7 +339,7 @@ decodeMessage(std::span<const std::uint8_t> frame)
 {
     ByteReader r(frame);
     std::uint32_t len = r.getU32();
-    auto payload = r.getBytes(len);
+    std::span<const std::uint8_t> payload(r.consume(len), len);
     std::uint32_t crc = r.getU32();
     r.expectEnd();
     if (util::crc32(payload) != crc)

@@ -192,6 +192,12 @@ peekMessageType(std::span<const std::uint8_t> frame);
 /** Encode a message into a framed byte vector (with CRC). */
 std::vector<std::uint8_t> encodeMessage(const Message &m);
 
+/** Append encodeMessage(m)'s bytes to @p w, in one pass. */
+void encodeMessageInto(ByteWriter &w, const Message &m);
+
+/** encodeMessage(m).size(), computed without encoding. */
+std::size_t encodedSize(const Message &m);
+
 /**
  * Decode a framed byte vector; throws DecodeError on truncation, bad
  * type tags, CRC mismatch, or trailing bytes.

@@ -1,10 +1,102 @@
 #include "server/database.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/crp.hpp"
 
 namespace authenticache::server {
+
+std::size_t
+PairKeySet::slotOf(std::uint64_t key) const
+{
+    // Fibonacci hashing: the top bits of key * 2^64/phi index the
+    // table, which spreads the (lo << 32 | hi) keys of nearby lines.
+    const int shift = std::countl_zero(slots.size()) + 1;
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                    shift);
+}
+
+bool
+PairKeySet::contains(std::uint64_t key) const
+{
+    if (key == kFree)
+        return hasFreeKey;
+    if (slots.empty())
+        return false;
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t i = slotOf(key);; i = (i + 1) & mask) {
+        if (slots[i] == key)
+            return true;
+        if (slots[i] == kFree)
+            return false;
+    }
+}
+
+bool
+PairKeySet::insert(std::uint64_t key)
+{
+    if (key == kFree) {
+        if (hasFreeKey)
+            return false;
+        hasFreeKey = true;
+        ++count;
+        return true;
+    }
+    if ((count + 1) * 4 > slots.size() * 3)
+        rehash(std::max<std::size_t>(16, slots.size() * 2));
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t i = slotOf(key);; i = (i + 1) & mask) {
+        if (slots[i] == key)
+            return false;
+        if (slots[i] == kFree) {
+            slots[i] = key;
+            ++count;
+            return true;
+        }
+    }
+}
+
+void
+PairKeySet::reserve(std::size_t n)
+{
+    std::size_t capacity = std::max<std::size_t>(16, slots.size());
+    while (n * 4 > capacity * 3)
+        capacity *= 2;
+    if (capacity != slots.size())
+        rehash(capacity);
+}
+
+void
+PairKeySet::rehash(std::size_t capacity)
+{
+    std::vector<std::uint64_t> old(capacity, kFree);
+    old.swap(slots);
+    const std::size_t mask = capacity - 1;
+    for (auto key : old) {
+        if (key == kFree)
+            continue;
+        std::size_t i = slotOf(key);
+        while (slots[i] != kFree)
+            i = (i + 1) & mask;
+        slots[i] = key;
+    }
+}
+
+std::vector<std::uint64_t>
+PairKeySet::sorted() const
+{
+    std::vector<std::uint64_t> keys;
+    keys.reserve(count);
+    if (hasFreeKey)
+        keys.push_back(kFree);
+    for (auto key : slots) {
+        if (key != kFree)
+            keys.push_back(key);
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+}
 
 DeviceRecord::DeviceRecord(std::uint64_t device_id,
                            core::ErrorMap physical_map,
@@ -68,7 +160,7 @@ bool
 DeviceRecord::consumePair(core::VddMv level, std::uint64_t line_a,
                           std::uint64_t line_b)
 {
-    return consumed[level].insert(pairKey(line_a, line_b)).second;
+    return consumed[level].insert(pairKey(line_a, line_b));
 }
 
 bool
@@ -78,7 +170,7 @@ DeviceRecord::pairAvailable(core::VddMv level, std::uint64_t line_a,
     auto it = consumed.find(level);
     if (it == consumed.end())
         return true;
-    return it->second.count(pairKey(line_a, line_b)) == 0;
+    return !it->second.contains(pairKey(line_a, line_b));
 }
 
 bool

@@ -19,7 +19,6 @@
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/error_index.hpp"
@@ -28,6 +27,41 @@
 #include "crypto/key.hpp"
 
 namespace authenticache::server {
+
+/**
+ * The consumed-pair ledger of one voltage level: a set of 64-bit pair
+ * keys in one flat open-addressing table (linear probing,
+ * power-of-two capacity, at most 3/4 full). Recording a pair costs no
+ * allocation beyond the table's occasional doubling, and a key takes
+ * 11-21 bytes instead of a ~40-byte hash node. Slot order depends on
+ * the capacity and insertion history; sorted() is the canonical
+ * order.
+ */
+class PairKeySet
+{
+  public:
+    /** @return false when @p key was already present. */
+    bool insert(std::uint64_t key);
+    bool contains(std::uint64_t key) const;
+    std::size_t size() const { return count; }
+
+    /** Size the table so @p n keys fit without a rehash. */
+    void reserve(std::size_t n);
+
+    /** Every key, ascending. */
+    std::vector<std::uint64_t> sorted() const;
+
+  private:
+    // Key 0 marks a free slot, so the key 0 itself lives in a flag.
+    static constexpr std::uint64_t kFree = 0;
+
+    std::size_t slotOf(std::uint64_t key) const;
+    void rehash(std::size_t capacity);
+
+    std::vector<std::uint64_t> slots;
+    std::size_t count = 0;
+    bool hasFreeKey = false;
+};
 
 /** Everything the server knows about one enrolled device. */
 class DeviceRecord
@@ -187,7 +221,7 @@ class DeviceRecord
     mutable std::shared_ptr<core::LogicalRemap> remapCache;
     mutable std::shared_ptr<core::ErrorMap> logicalCache;
     mutable std::shared_ptr<core::ErrorIndexMap> indexCache;
-    std::map<core::VddMv, std::unordered_set<std::uint64_t>> consumed;
+    std::map<core::VddMv, PairKeySet> consumed;
     std::set<std::array<std::uint64_t, 4>> mixed;
     std::uint64_t nAccepted = 0;
     std::uint64_t nRejected = 0;

@@ -35,18 +35,21 @@ struct RecordStorageAccess
         for (auto level : record.remapLevels)
             w.putU32(level);
 
-        // Canonical order: the consumed sets are unordered in memory,
-        // so sort before dumping -- equal logical states must produce
+        // Canonical order: a ledger's slot order depends on its
+        // capacity and insertion history (and a decoded record
+        // reserves a different capacity than the live one grew to),
+        // so dump sorted keys -- equal logical states must produce
         // byte-identical snapshots (recovery sweeps compare them).
         w.putU32(static_cast<std::uint32_t>(record.consumed.size()));
         for (const auto &[level, pairs] : record.consumed) {
             w.putU32(level);
             w.putU64(pairs.size());
-            std::vector<std::uint64_t> sorted(pairs.begin(),
-                                              pairs.end());
-            std::sort(sorted.begin(), sorted.end());
-            for (auto pair_key : sorted)
-                w.putU64(pair_key);
+            const auto sorted = pairs.sorted();
+            std::uint8_t *p = w.extend(sorted.size() * 8);
+            for (auto pair_key : sorted) {
+                protocol::storeLE<std::uint64_t>(p, pair_key);
+                p += 8;
+            }
         }
 
         w.putU64(record.mixed.size());
@@ -99,10 +102,13 @@ struct RecordStorageAccess
         for (std::uint32_t i = 0; i < consumed_levels; ++i) {
             core::VddMv level = r.getU32();
             std::uint64_t count = r.getU64();
+            if (count > r.remaining() / 8)
+                throw protocol::DecodeError("truncated message");
+            const std::uint8_t *p = r.consume(count * 8);
             auto &set = record.consumed[level];
-            set.reserve(count * 2);
-            for (std::uint64_t k = 0; k < count; ++k)
-                set.insert(r.getU64());
+            set.reserve(count);
+            for (std::uint64_t k = 0; k < count; ++k, p += 8)
+                set.insert(protocol::loadLE<std::uint64_t>(p));
         }
 
         std::uint64_t mixed_count = r.getU64();

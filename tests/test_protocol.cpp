@@ -2,11 +2,18 @@
  * @file
  * Tests for serialization, protocol messages (round trips, framing,
  * corruption detection), and the wiretap transcript. Frames crossing
- * the loopback transport are covered in test_reliability.
+ * the loopback transport are covered in test_reliability. The
+ * encoded bytes of every message type are pinned to
+ * tests/golden/messages.txt.
  */
+
+#include <fstream>
+#include <map>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "net/wire.hpp"
 #include "protocol/messages.hpp"
 #include "protocol/serialize.hpp"
 #include "protocol/transcript.hpp"
@@ -176,4 +183,138 @@ TEST(Transcript, ClearEmpties)
     EXPECT_EQ(transcript.size(), 1u);
     transcript.clear();
     EXPECT_EQ(transcript.size(), 0u);
+}
+
+namespace {
+
+/** A @p bits-bit challenge from a fixed LCG; every field varies. */
+core::Challenge
+goldenChallenge(std::size_t bits)
+{
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    auto next = [&x] {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::uint32_t>(x >> 33);
+    };
+    core::Challenge c;
+    for (std::size_t i = 0; i < bits; ++i) {
+        core::ChallengeBit bit;
+        bit.a = {{next() % 8192, next() % 8}, 600 + next() % 200};
+        bit.b = {{next() % 8192, next() % 8}, 600 + next() % 200};
+        c.bits.push_back(bit);
+    }
+    return c;
+}
+
+BitVec
+goldenBits(std::size_t n, std::uint64_t seed)
+{
+    BitVec v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v.set(i, ((seed >> (i % 64)) ^ (i / 3)) & 1);
+    return v;
+}
+
+/** One fixed instance of each of the twelve message types. */
+std::vector<std::pair<std::string, p::Message>>
+goldenMessages()
+{
+    p::RemapAck ack{0x5151515151515151ull, true, {}};
+    for (std::size_t i = 0; i < ack.confirmation.size(); ++i)
+        ack.confirmation[i] = static_cast<std::uint8_t>(0xA0 + i);
+    return {
+        {"AuthRequest", p::AuthRequest{0x0123456789ABCDEFull}},
+        {"ChallengeMsg",
+         p::ChallengeMsg{0xFEEDFACECAFEBEEFull, goldenChallenge(128)}},
+        {"ResponseMsg",
+         p::ResponseMsg{0x1111, goldenBits(77, 0xDEADBEEF12345678ull)}},
+        {"AuthDecision", p::AuthDecision{0x2222, true, 17}},
+        {"RemapRequest",
+         p::RemapRequest{0x3333, goldenChallenge(5),
+                         goldenBits(130, 0x0F0F00FF12345678ull), 7}},
+        {"RemapAck", ack},
+        {"ErrorMsg", p::ErrorMsg{"session expired"}},
+        {"RemapCommit", p::RemapCommit{0x4444, true}},
+        {"Heartbeat", p::Heartbeat{0x5555, 42, goldenChallenge(4)}},
+        {"HeartbeatProof",
+         p::HeartbeatProof{0x6666, goldenBits(3, 5)}},
+        {"TrustUpdate", p::TrustUpdate{0x7777, 73, 2, false, 9}},
+        {"Revoke", p::Revoke{0x8888, "trust exhausted"}},
+    };
+}
+
+std::string
+toHex(std::span<const std::uint8_t> bytes)
+{
+    static const char *digits = "0123456789abcdef";
+    std::string out;
+    for (auto b : bytes) {
+        out += digits[b >> 4];
+        out += digits[b & 15];
+    }
+    return out;
+}
+
+/** name -> hex, from the golden file ('#' lines are comments). */
+std::map<std::string, std::string>
+goldenHex()
+{
+    std::ifstream in(AUTH_GOLDEN_DIR "/messages.txt");
+    std::map<std::string, std::string> out;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream fields(line);
+        std::string name, hex;
+        fields >> name >> hex;
+        out[name] = hex;
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Messages, GoldenBytesForEveryType)
+{
+    auto golden = goldenHex();
+    const auto messages = goldenMessages();
+    ASSERT_EQ(messages.size(),
+              static_cast<std::size_t>(p::MessageType::Revoke));
+    for (const auto &[name, msg] : messages) {
+        const auto frame = p::encodeMessage(msg);
+        EXPECT_EQ(golden[name], toHex(frame))
+            << "\nactual: " << name << " " << toHex(frame);
+        EXPECT_EQ(p::encodedSize(msg), frame.size()) << name;
+
+        // Round trip: the decoded message re-encodes to the same bytes.
+        const p::Message decoded = p::decodeMessage(frame);
+        EXPECT_EQ(p::messageType(decoded), p::messageType(msg)) << name;
+        EXPECT_EQ(p::encodeMessage(decoded), frame) << name;
+    }
+}
+
+TEST(Messages, GoldenWireFrames)
+{
+    namespace net = authenticache::net;
+    auto golden = goldenHex();
+    const auto messages = goldenMessages();
+    const std::vector<std::pair<std::uint64_t, std::size_t>> cases{
+        {0x1122334455667788ull, 1}, // ChallengeMsg
+        {3, 3},                     // AuthDecision
+    };
+    for (const auto &[stream, idx] : cases) {
+        const auto &[name, msg] = messages[idx];
+        const auto wire = net::encodeWireMessage(stream, msg);
+        EXPECT_EQ(golden["wire:" + name], toHex(wire))
+            << "\nactual: wire:" << name << " " << toHex(wire);
+
+        net::WireDecoder dec;
+        dec.feed(wire);
+        auto frame = dec.next();
+        ASSERT_TRUE(frame.has_value()) << name;
+        EXPECT_EQ(frame->stream, stream);
+        EXPECT_EQ(frame->payload, p::encodeMessage(msg)) << name;
+        EXPECT_EQ(dec.buffered(), 0u);
+    }
 }

@@ -6,7 +6,9 @@
  * detection, and file I/O.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -232,20 +234,100 @@ TEST(Storage, UnknownVersionRejected)
 TEST(Storage, CanonicalSnapshotBytes)
 {
     // Equal logical states must serialize identically even when the
-    // consumed sets were populated in different orders (they are
-    // unordered in memory; recovery compares states by snapshot
-    // bytes).
+    // consumed pairs were recorded in different orders (a ledger's
+    // slot order depends on its insertion history; recovery compares
+    // states by snapshot bytes). 5000 pairs take each ledger through
+    // several table growths.
     srv::DeviceRecord a(1, sampleMap(5), {700}, {690});
     srv::DeviceRecord b(1, sampleMap(5), {700}, {690});
-    for (std::uint64_t k = 0; k < 40; ++k)
-        a.consumePair(700, k, k + 100);
-    for (std::uint64_t k = 40; k-- > 0;)
-        b.consumePair(700, k + 100, k);
+    constexpr std::uint64_t kPairs = 5000;
+    for (std::uint64_t k = 0; k < kPairs; ++k)
+        a.consumePair(700, k, k + 7919);
+    for (std::uint64_t k = kPairs; k-- > 0;)
+        b.consumePair(700, k + 7919, k);
+    ASSERT_EQ(a.consumedCount(700), kPairs);
 
     srv::EnrollmentDatabase da, dbb;
     da.enroll(std::move(a));
     dbb.enroll(std::move(b));
     EXPECT_EQ(srv::saveDatabase(da), srv::saveDatabase(dbb));
+}
+
+TEST(Storage, SaveLoadSaveIsByteIdentical)
+{
+    // A loaded ledger is sized by the decoder, not grown like the
+    // live one; its snapshot must still match the live snapshot byte
+    // for byte (the recovered-versus-live check).
+    srv::EnrollmentDatabase db;
+    db.enroll(sampleRecord(1, 10));
+    auto &record = db.enroll(sampleRecord(2, 20));
+    Rng rng(77);
+    for (int k = 0; k < 6000; ++k)
+        record.consumePair(700, rng.nextBelow(4096), rng.nextBelow(4096));
+    record.consumePair(700, 0, 0); // Key 0 lives outside the table.
+
+    srv::SnapshotMeta meta{3, 99};
+    const auto first = srv::saveDatabase(db, meta);
+    srv::SnapshotMeta loaded_meta;
+    const auto loaded = srv::loadDatabase(first, &loaded_meta);
+    EXPECT_EQ(loaded.at(2).consumedCount(700),
+              record.consumedCount(700));
+    EXPECT_EQ(srv::saveDatabase(loaded, loaded_meta), first);
+}
+
+TEST(Storage, PairLedgerMatchesStdSetOverRandomInserts)
+{
+    // Keys shaped like pair keys (lo << 32 | hi) from a small line
+    // range, so duplicates are common, plus 0 and the extremes.
+    srv::PairKeySet flat;
+    std::set<std::uint64_t> ref;
+    Rng rng(2024);
+    for (int i = 0; i < 100000; ++i) {
+        std::uint64_t key;
+        switch (i % 1000) {
+          case 0: key = 0; break;
+          case 1: key = ~0ull; break;
+          default:
+            key = rng.nextBelow(300) << 32 | rng.nextBelow(2000);
+        }
+        ASSERT_EQ(flat.insert(key), ref.insert(key).second) << i;
+        ASSERT_EQ(flat.size(), ref.size());
+        const std::uint64_t probe =
+            rng.nextBelow(300) << 32 | rng.nextBelow(2000);
+        ASSERT_EQ(flat.contains(probe), ref.count(probe) == 1) << i;
+    }
+    EXPECT_GT(ref.size(), 50000u);
+    const auto sorted = flat.sorted();
+    EXPECT_TRUE(std::equal(sorted.begin(), sorted.end(), ref.begin(),
+                           ref.end()));
+
+    // A copy sized up front holds the same keys.
+    srv::PairKeySet sized;
+    sized.reserve(ref.size());
+    for (auto key : ref)
+        ASSERT_TRUE(sized.insert(key));
+    EXPECT_EQ(sized.sorted(), sorted);
+}
+
+TEST(Storage, PairLedgerRetiresBothOrders)
+{
+    srv::DeviceRecord record(1, sampleMap(5), {700}, {690});
+    std::set<std::pair<std::uint64_t, std::uint64_t>> ref;
+    Rng rng(9);
+    for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t x = rng.nextBelow(700);
+        const std::uint64_t y = rng.nextBelow(700);
+        const auto canonical = std::minmax(x, y);
+        const bool fresh = ref.count(canonical) == 0;
+        ASSERT_EQ(record.pairAvailable(700, y, x), fresh) << i;
+        ASSERT_EQ(record.consumePair(700, x, y), fresh) << i;
+        ref.insert(canonical);
+        ASSERT_FALSE(record.pairAvailable(700, x, y));
+        ASSERT_FALSE(record.consumePair(700, y, x));
+    }
+    EXPECT_EQ(record.consumedCount(700), ref.size());
+    EXPECT_EQ(record.consumedCount(690), 0u);
+    EXPECT_TRUE(record.pairAvailable(690, 1, 2));
 }
 
 TEST(Storage, AtomicSaveSurvivesCrashMidWrite)

@@ -4,6 +4,7 @@
  */
 
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -47,6 +48,64 @@ TEST(Crc32, DetectsSingleByteChange)
     std::span<const std::uint8_t> sb(
         reinterpret_cast<const std::uint8_t *>(b.data()), b.size());
     EXPECT_NE(u::crc32(sa), u::crc32(sb));
+}
+
+namespace {
+
+/** Bit-at-a-time CRC-32/IEEE: the definition, with no tables. */
+std::uint32_t
+referenceCrc32(std::span<const std::uint8_t> data)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (auto b : data) {
+        c ^= b;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t>
+noiseBytes(std::size_t n)
+{
+    std::vector<std::uint8_t> out(n);
+    std::uint64_t x = 0x243F6A8885A308D3ull;
+    for (auto &b : out) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        b = static_cast<std::uint8_t>(x >> 56);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment)
+{
+    const auto buf = noiseBytes((64u << 10) + 8);
+    std::vector<std::size_t> lengths;
+    for (std::size_t len = 0; len <= 1100; ++len)
+        lengths.push_back(len);
+    for (std::size_t len : {4095u, 4096u, 4097u, 40000u, 65535u, 65536u})
+        lengths.push_back(len);
+    for (std::size_t shift = 0; shift < 8; ++shift) {
+        for (std::size_t len : lengths) {
+            std::span<const std::uint8_t> data(buf.data() + shift, len);
+            ASSERT_EQ(u::crc32(data), referenceCrc32(data))
+                << "len " << len << " shift " << shift;
+        }
+    }
+}
+
+TEST(Crc32, ChainedUpdateMatchesAtEverySplit)
+{
+    const auto buf = noiseBytes(1024);
+    const std::span<const std::uint8_t> all(buf);
+    const std::uint32_t whole = referenceCrc32(all);
+    for (std::size_t split = 0; split <= all.size(); ++split) {
+        const std::uint32_t head = u::crc32(all.first(split));
+        ASSERT_EQ(u::crc32Update(head, all.subspan(split)), whole)
+            << "split " << split;
+    }
 }
 
 TEST(Table, AlignedOutputContainsCells)
